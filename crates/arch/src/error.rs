@@ -48,8 +48,8 @@ pub enum SimError {
     /// metrics would be undefined.
     EmptySuite,
     /// A worker panicked while computing one cell of a parallel fan-out.
-    /// With panic isolation ([`refocus_par::par_map_catch`]) the panic is
-    /// confined to that cell's slot instead of aborting the whole grid.
+    /// The grid executor ([`crate::grid`]) confines the panic to that
+    /// cell's slot instead of aborting the whole grid.
     WorkerPanic {
         /// Index of the work item in its fan-out (grid order).
         item: usize,
@@ -169,11 +169,17 @@ impl SimError {
     /// from one pathological stream realization; configuration, mapping,
     /// and spec errors are deterministic in the inputs and never retried.
     pub fn is_transient(&self) -> bool {
+        self.kind().is_transient()
+    }
+}
+
+impl FailureKind {
+    /// Whether a failure of this kind may clear on a retry (see
+    /// [`SimError::is_transient`]).
+    pub fn is_transient(self) -> bool {
         matches!(
             self,
-            SimError::WorkerPanic { .. }
-                | SimError::NonFinite { .. }
-                | SimError::DynamicRange { .. }
+            FailureKind::WorkerPanic | FailureKind::NonFinite | FailureKind::DynamicRange
         )
     }
 }

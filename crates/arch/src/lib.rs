@@ -18,6 +18,9 @@
 //!   them against digital convolution.
 //! * [`schedule`] — static VLIW-style instruction scheduling (§7.1).
 //! * [`error`] — the unified [`error::SimError`] hierarchy.
+//! * [`grid`] — the one resilient executor (journal replay, budgets,
+//!   panic isolation, retries) behind the campaign, the DSE sweep and
+//!   suite simulation.
 //! * [`campaign`] — fault-injection campaign runner over the functional
 //!   conv path.
 //! * [`guard`] — numerical firewall at stage boundaries (NaN/∞ →
@@ -53,6 +56,7 @@ pub mod dse;
 pub mod energy;
 pub mod error;
 pub mod functional;
+pub mod grid;
 pub mod guard;
 pub mod metrics;
 pub mod perf;

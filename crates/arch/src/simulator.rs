@@ -9,6 +9,7 @@ use crate::area::{area_breakdown, AreaBreakdown};
 use crate::config::{AcceleratorConfig, OpticalBufferKind};
 use crate::energy::{EnergyBreakdown, EnergyModel, EnergyOptions};
 use crate::error::{FailureKind, SimError};
+use crate::grid::{self, Outcome, RunBudget};
 use crate::metrics::{geomean, Metrics};
 use crate::perf::NetworkPerf;
 use refocus_nn::layer::Network;
@@ -291,24 +292,23 @@ pub fn simulate_suite(
     if suite.is_empty() {
         return Err(SimError::EmptySuite);
     }
-    // Networks simulate independently; fan out onto the pool with
-    // per-item panic isolation and keep suite order deterministic.
+    // Networks simulate independently; fan out onto the grid executor
+    // and keep suite order deterministic.
     let _suite = refocus_obs::span_with("simulate_suite", || format!("networks={}", suite.len()));
-    let results = refocus_par::par_map_catch_indexed(suite, |_, net| simulate(net, config));
+    let outcomes = grid::run(suite, None, &RunBudget::strict(), None, |net, _attempt| {
+        simulate(net, config)
+    });
     let mut reports = Vec::new();
     let mut failed = Vec::new();
-    for ((item, net), result) in suite.iter().enumerate().zip(results) {
-        let outcome = match result {
-            Ok(inner) => inner,
-            Err(message) => Err(SimError::WorkerPanic { item, message }),
-        };
+    for (net, outcome) in suite.iter().zip(outcomes) {
         match outcome {
-            Ok(report) => reports.push(report),
-            Err(e) => failed.push(SuiteFailure {
+            Outcome::Done(report) => reports.push(report),
+            Outcome::Failed { kind, error, .. } => failed.push(SuiteFailure {
                 network: net.name().to_string(),
-                kind: e.kind(),
-                error: e.to_string(),
+                kind,
+                error,
             }),
+            Outcome::Skipped(_) => unreachable!("a strict budget skips nothing"),
         }
     }
     Ok(SuiteReport {

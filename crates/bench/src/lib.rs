@@ -1,16 +1,16 @@
 //! # refocus-bench
 //!
-//! Criterion benchmark harness for the ReFOCUS reproduction. The library
-//! itself is empty; every benchmark lives under `benches/`, one target per
-//! paper table/figure plus substrate micro-benchmarks:
+//! Substrate benchmark for the ReFOCUS reproduction. The library itself
+//! is empty; the one target, `benches/substrate_json.rs`, times the FFT
+//! kernels, the optical convolution and the fault campaign, checks the
+//! serial/parallel bit-identity contract, and writes
+//! `BENCH_substrate.json`:
 //!
 //! ```text
-//! cargo bench -p refocus-bench                # everything
-//! cargo bench -p refocus-bench --bench fig11  # one artifact
+//! cargo bench -p refocus-bench --bench substrate_json
 //! ```
 //!
-//! Each experiment bench measures regenerating that artifact end-to-end
-//! from the simulator and, as a side effect of its setup, prints the
-//! regenerated rows once, so `cargo bench` output doubles as a results log.
+//! End-to-end and per-layer host-time measurements live in the
+//! stand-alone `perfbench` package at the repository root.
 
 #![warn(missing_docs)]

@@ -59,34 +59,44 @@ pub mod table7;
 
 pub use render::{Experiment, Table};
 
+/// A function that regenerates one experiment.
+pub type Build = fn() -> Experiment;
+
+/// Every experiment's id and the function that builds it, in paper order.
+pub const EXPERIMENTS: [(&str, Build); 19] = [
+    ("sec2_2", sec2_2::run),
+    ("table1", table1::run),
+    ("table2", table2::run),
+    ("fig3", fig3::run),
+    ("fig7", fig7::run),
+    ("table4", table4::run),
+    ("table5", table5::run),
+    ("table6", table6::run),
+    ("table7", table7::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig12", fig12::run),
+    ("fig13", fig13::run),
+    ("sec7_3", sec7_3::run),
+    ("ablations", ablations::run),
+    ("fault_study", fault_study::run),
+    ("summary", summary::run),
+];
+
 /// Every experiment, in paper order.
 pub fn all_experiments() -> Vec<Experiment> {
-    vec![
-        sec2_2::run(),
-        table1::run(),
-        table2::run(),
-        fig3::run(),
-        fig7::run(),
-        table4::run(),
-        table5::run(),
-        table6::run(),
-        table7::run(),
-        fig8::run(),
-        fig9::run(),
-        fig10::run(),
-        fig11::run(),
-        fig12::run(),
-        fig13::run(),
-        sec7_3::run(),
-        ablations::run(),
-        fault_study::run(),
-        summary::run(),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run()).collect()
 }
 
-/// Looks up an experiment by id (e.g. `"fig11"`, `"table4"`).
+/// Looks up an experiment by id (e.g. `"fig11"`, `"table4"`) and builds
+/// only that one.
 pub fn experiment_by_id(id: &str) -> Option<Experiment> {
-    all_experiments().into_iter().find(|e| e.id == id)
+    EXPERIMENTS
+        .iter()
+        .find(|(key, _)| *key == id)
+        .map(|(_, run)| run())
 }
 
 #[cfg(test)]
@@ -109,6 +119,13 @@ mod tests {
         assert!(experiment_by_id("fig11").is_some());
         assert!(experiment_by_id("table4").is_some());
         assert!(experiment_by_id("nope").is_none());
+    }
+
+    #[test]
+    fn table_ids_match_the_experiments_they_build() {
+        for (id, run) in EXPERIMENTS {
+            assert_eq!(run().id, id);
+        }
     }
 
     #[test]

@@ -54,10 +54,9 @@
 //! would, just possibly earlier.
 //!
 //! When one poisoned item must not kill the whole fan-out — a fault
-//! campaign that should record the bad cell and keep sweeping — use
-//! [`par_map_catch`]: each item runs under its own `catch_unwind`, a
-//! panic becomes an `Err(message)` in that item's slot, and every other
-//! item still completes.
+//! campaign that should record the bad cell and keep sweeping — run each
+//! item under [`catch_item`]: a panic becomes an `Err(message)` in that
+//! item's slot, and every other item still completes.
 //!
 //! # Examples
 //!
@@ -200,33 +199,10 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs `f`, converting a panic into `Err(message)` instead of unwinding.
 ///
-/// The building block for per-attempt isolation (e.g. a retry loop that
-/// must survive a panicking attempt); [`par_map_catch`] applies the same
-/// treatment per work item.
+/// The building block for per-item and per-attempt isolation (e.g. a
+/// retry loop that must survive a panicking attempt).
 pub fn catch_item<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_message(p.as_ref()))
-}
-
-/// [`par_map`] with per-item panic isolation: a panicking work item
-/// yields `Err(panic_message)` in its own slot while every other item
-/// still runs to completion. Nothing is re-raised on the caller.
-pub fn par_map_catch<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_catch_indexed(items, |_, item| f(item))
-}
-
-/// [`par_map_catch`] where `f` also receives the item's index.
-pub fn par_map_catch_indexed<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed(items, |i, item| catch_item(|| f(i, item)))
 }
 
 /// Splits `0..len` into at most `chunks` contiguous ranges of near-equal
@@ -465,57 +441,13 @@ mod tests {
     }
 
     #[test]
-    fn par_map_catch_isolates_panics_to_their_slot() {
-        let items: Vec<u32> = (0..64).collect();
-        let got = with_threads(4, || {
-            par_map_catch(&items, |&x| {
-                if x % 13 == 5 {
-                    panic!("poisoned item {x}");
-                }
-                x * 2
-            })
-        });
-        for (i, r) in got.iter().enumerate() {
-            if i % 13 == 5 {
-                assert_eq!(*r, Err(format!("poisoned item {i}")));
-            } else {
-                assert_eq!(*r, Ok(i as u32 * 2));
-            }
-        }
-    }
-
-    #[test]
-    fn par_map_catch_handles_string_and_str_payloads() {
-        let items = vec![0u8, 1];
-        let got = par_map_catch(&items, |&x| -> u8 {
-            if x == 0 {
-                panic!("static str");
-            } else {
-                std::panic::panic_any(format!("owned {x}"));
-            }
-        });
-        assert_eq!(got[0], Err("static str".to_string()));
-        assert_eq!(got[1], Err("owned 1".to_string()));
-    }
-
-    #[test]
     fn catch_item_preserves_results_and_messages() {
         assert_eq!(catch_item(|| 7), Ok(7));
         assert_eq!(catch_item(|| -> i32 { panic!("boom") }), Err("boom".into()));
-    }
-
-    #[test]
-    fn par_map_catch_is_thread_count_invariant() {
-        let items: Vec<u64> = (0..50).collect();
-        let f = |&x: &u64| {
-            if x == 17 {
-                panic!("bad {x}");
-            }
-            x + 1
-        };
-        let serial = with_threads(1, || par_map_catch(&items, f));
-        let parallel = with_threads(8, || par_map_catch(&items, f));
-        assert_eq!(serial, parallel);
+        assert_eq!(
+            catch_item(|| -> i32 { std::panic::panic_any(format!("owned {}", 1)) }),
+            Err("owned 1".into())
+        );
     }
 
     #[test]

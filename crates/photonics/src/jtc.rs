@@ -13,7 +13,7 @@
 //! The output plane (paper Eq. 1) contains the two cross-correlation terms
 //! at `±(x_s + x_k)` plus a central non-convolution term `N(x)` that is
 //! spatially filtered out. This module simulates the full field pipeline
-//! with [`Complex64`](crate::complex::Complex64) arrays and extracts the correlation term, optionally
+//! with [`Complex64`] arrays and extracts the correlation term, optionally
 //! passing inputs/outputs through the 8-bit DAC/ADC models so end-to-end
 //! numerics include quantization.
 //!
@@ -35,6 +35,7 @@
 //! }
 //! ```
 
+use crate::complex::Complex64;
 use crate::components::{Adc, Dac, NonlinearMaterial};
 use crate::fft::{ifft, ifft_real, rfft};
 use serde::{Deserialize, Serialize};
@@ -160,40 +161,9 @@ impl Jtc {
     pub fn correlate(&self, signal: &[f64], kernel: &[f64]) -> Result<JtcOutput, JtcError> {
         let _pass = refocus_obs::span("jtc.correlate");
         refocus_obs::counter("jtc.passes", 1);
-        if signal.is_empty() || kernel.is_empty() {
-            return Err(JtcError::EmptyInput);
-        }
-        if signal.iter().any(|&v| v < 0.0) {
-            return Err(JtcError::NegativeValue { which: "signal" });
-        }
-        if kernel.iter().any(|&v| v < 0.0) {
-            return Err(JtcError::NegativeValue { which: "kernel" });
-        }
-
+        let (sep, n) = self.geometry(signal, kernel)?;
         let ls = signal.len();
         let lk = kernel.len();
-        // Separation between kernel origin and signal origin. With the
-        // kernel at 0 and the signal at `sep`, the cross term sits at lags
-        // `sep - (lk-1) ..= sep + (ls-1)` of the output autocorrelation,
-        // while the central N(x) term spans `±(max(ls,lk)-1)`. Keeping them
-        // disjoint requires sep >= max(ls,lk) + lk - 1; one extra guard
-        // sample is added.
-        let sep = ls.max(lk) + lk;
-        // The autocorrelation is circular with period n; the +sep and -sep
-        // terms must not wrap into each other.
-        let required = 2 * (sep + ls.max(lk));
-        let n = match self.plane_size {
-            Some(size) => {
-                if size < required {
-                    return Err(JtcError::PlaneTooSmall {
-                        required,
-                        available: size,
-                    });
-                }
-                size
-            }
-            None => required.next_power_of_two(),
-        };
 
         // Stage 1: compose the joint input plane, quantizing through the DAC
         // if configured. DACs encode normalized values; normalize by the
@@ -203,45 +173,14 @@ impl Jtc {
             .chain(kernel.iter())
             .fold(0.0_f64, |m, &v| m.max(v));
         let scale = if peak > 0.0 { peak } else { 1.0 };
-        let encode = |v: f64| -> f64 {
-            match &self.dac {
-                Some(dac) => dac.quantize(v / scale) * scale,
-                None => v,
-            }
-        };
-
         let input_plane = {
             let _s = refocus_obs::span("jtc.compose");
-            let mut input_plane = vec![0.0_f64; n];
-            for (i, &v) in kernel.iter().enumerate() {
-                input_plane[i] = encode(v);
-            }
-            for (i, &v) in signal.iter().enumerate() {
-                input_plane[sep + i] = encode(v);
-            }
-            input_plane
+            compose(signal, kernel, sep, n, |v| match &self.dac {
+                Some(dac) => dac.quantize(v / scale) * scale,
+                None => v,
+            })
         };
-
-        // Stage 2: first lens. The input plane carries optical power — a
-        // real field — so the half-length real-input transform applies.
-        let mut spectrum = {
-            let _s = refocus_obs::span("jtc.lens1.fft");
-            rfft(&input_plane)
-        };
-        // Stage 3: Fourier-plane square-law nonlinearity. Its output is an
-        // intensity, i.e. real (`NonlinearMaterial::apply_point` discards
-        // phase), which makes the second lens real-input too.
-        let intensity: Vec<f64> = {
-            let _s = refocus_obs::span("jtc.square_law");
-            self.nonlinearity.apply(&mut spectrum);
-            spectrum.iter().map(|v| v.re).collect()
-        };
-        // Stage 4: second lens. The inverse orientation recovers the
-        // autocorrelation theorem directly: IFFT(|FFT(f)|^2) = autocorr(f).
-        let plane = {
-            let _s = refocus_obs::span("jtc.lens2.ifft");
-            ifft_real(&intensity)
-        };
+        let plane = self.lenses(&input_plane);
 
         // Stage 5: photodetector readout of the cross term at +sep.
         // For non-negative inputs the term is real and non-negative;
@@ -270,6 +209,67 @@ impl Jtc {
             signal_len: ls,
             plane_size: n,
         })
+    }
+
+    /// Checks the inputs and returns the plane geometry `(sep, n)`: the
+    /// offset of the signal from the kernel origin and the plane size.
+    fn geometry(&self, signal: &[f64], kernel: &[f64]) -> Result<(usize, usize), JtcError> {
+        if signal.is_empty() || kernel.is_empty() {
+            return Err(JtcError::EmptyInput);
+        }
+        if signal.iter().any(|&v| v < 0.0) {
+            return Err(JtcError::NegativeValue { which: "signal" });
+        }
+        if kernel.iter().any(|&v| v < 0.0) {
+            return Err(JtcError::NegativeValue { which: "kernel" });
+        }
+        let ls = signal.len();
+        let lk = kernel.len();
+        // Separation between kernel origin and signal origin. With the
+        // kernel at 0 and the signal at `sep`, the cross term sits at lags
+        // `sep - (lk-1) ..= sep + (ls-1)` of the output autocorrelation,
+        // while the central N(x) term spans `±(max(ls,lk)-1)`. Keeping them
+        // disjoint requires sep >= max(ls,lk) + lk - 1; one extra guard
+        // sample is added.
+        let sep = ls.max(lk) + lk;
+        // The autocorrelation is circular with period n; the +sep and -sep
+        // terms must not wrap into each other.
+        let required = 2 * (sep + ls.max(lk));
+        let n = match self.plane_size {
+            Some(size) if size < required => {
+                return Err(JtcError::PlaneTooSmall {
+                    required,
+                    available: size,
+                })
+            }
+            Some(size) => size,
+            None => required.next_power_of_two(),
+        };
+        Ok((sep, n))
+    }
+
+    /// Stages 2–4: first lens, Fourier-plane square law, second lens.
+    fn lenses(&self, input_plane: &[f64]) -> Vec<Complex64> {
+        // Stage 2: first lens. The input plane carries optical power — a
+        // real field — so the half-length real-input transform applies.
+        let mut spectrum = {
+            let _s = refocus_obs::span("jtc.lens1.fft");
+            rfft(input_plane)
+        };
+        // Stage 3: Fourier-plane square-law nonlinearity. Its output is an
+        // intensity, i.e. real (`NonlinearMaterial::apply_point` discards
+        // phase), which makes the second lens real-input too.
+        let intensity: Vec<f64> = {
+            let _s = refocus_obs::span("jtc.square_law");
+            self.nonlinearity.apply(&mut spectrum);
+            spectrum.iter().map(|v| v.re).collect()
+        };
+        // Stage 4: second lens. The inverse orientation recovers the
+        // autocorrelation theorem directly: IFFT(|FFT(f)|^2) = autocorr(f).
+        {
+            let _s = refocus_obs::span("jtc.lens2.ifft");
+            ifft_real(&intensity)
+        }
     }
 
     /// Performs one optical pass under a device-fault model.
@@ -321,30 +321,8 @@ impl Jtc {
         signal: &[f64],
         kernel: &[f64],
     ) -> Result<(Vec<f64>, usize), JtcError> {
-        if signal.is_empty() || kernel.is_empty() {
-            return Err(JtcError::EmptyInput);
-        }
-        if signal.iter().any(|&v| v < 0.0) {
-            return Err(JtcError::NegativeValue { which: "signal" });
-        }
-        if kernel.iter().any(|&v| v < 0.0) {
-            return Err(JtcError::NegativeValue { which: "kernel" });
-        }
-        let ls = signal.len();
-        let lk = kernel.len();
-        let sep = ls.max(lk) + lk;
-        let n = (2 * (sep + ls.max(lk))).next_power_of_two();
-        let mut input_plane = vec![0.0_f64; n];
-        for (i, &v) in kernel.iter().enumerate() {
-            input_plane[i] = v;
-        }
-        for (i, &v) in signal.iter().enumerate() {
-            input_plane[sep + i] = v;
-        }
-        let mut spectrum = rfft(&input_plane);
-        self.nonlinearity.apply(&mut spectrum);
-        let intensity: Vec<f64> = spectrum.iter().map(|v| v.re).collect();
-        let plane = ifft_real(&intensity);
+        let (sep, n) = self.geometry(signal, kernel)?;
+        let plane = self.lenses(&compose(signal, kernel, sep, n, |v| v));
         Ok((plane.into_iter().map(|v| v.re.max(0.0)).collect(), sep))
     }
 
@@ -363,24 +341,33 @@ impl Jtc {
         signal: &[f64],
         kernel: &[f64],
     ) -> Result<Vec<f64>, JtcError> {
-        if signal.is_empty() || kernel.is_empty() {
-            return Err(JtcError::EmptyInput);
-        }
-        let ls = signal.len();
-        let lk = kernel.len();
-        let sep = ls + lk;
-        let n = (2 * (sep + ls)).next_power_of_two();
-        let mut input_plane = vec![0.0_f64; n];
-        for (i, &v) in kernel.iter().enumerate() {
-            input_plane[i] = v;
-        }
-        for (i, &v) in signal.iter().enumerate() {
-            input_plane[sep + i] = v;
-        }
-        let mut plane = rfft(&input_plane);
+        let (sep, n) = self.geometry(signal, kernel)?;
+        let mut plane = rfft(&compose(signal, kernel, sep, n, |v| v));
         ifft(&mut plane);
-        Ok(plane[sep..sep + ls].iter().map(|v| v.norm()).collect())
+        Ok(plane[sep..sep + signal.len()]
+            .iter()
+            .map(|v| v.norm())
+            .collect())
     }
+}
+
+/// Stage 1: the joint input plane of `n` samples, kernel at the origin
+/// and signal at `sep`, each value passed through `encode`.
+fn compose(
+    signal: &[f64],
+    kernel: &[f64],
+    sep: usize,
+    n: usize,
+    encode: impl Fn(f64) -> f64,
+) -> Vec<f64> {
+    let mut input_plane = vec![0.0_f64; n];
+    for (i, &v) in kernel.iter().enumerate() {
+        input_plane[i] = encode(v);
+    }
+    for (i, &v) in signal.iter().enumerate() {
+        input_plane[sep + i] = encode(v);
+    }
+    input_plane
 }
 
 /// The detected output of one JTC pass.
@@ -631,6 +618,55 @@ mod tests {
         let out_a = jtc.correlate_with_faults(&s, &k, &mut a).unwrap();
         let out_b = jtc.correlate_with_faults(&s, &k, &mut b).unwrap();
         assert_eq!(out_a, out_b);
+    }
+
+    #[test]
+    fn output_plane_honours_a_fixed_plane_size() {
+        let s = pseudo_random(8, 1);
+        let k = pseudo_random(3, 2);
+        // Auto-sizing would pick 64 samples; the fixed 48 must be used.
+        let (plane, sep) = Jtc::ideal()
+            .with_plane_size(48)
+            .output_plane(&s, &k)
+            .unwrap();
+        assert_eq!(plane.len(), 48);
+        let out = Jtc::ideal().with_plane_size(48).correlate(&s, &k).unwrap();
+        assert!(max_abs_diff(&plane[sep - 2..=sep + 7], out.full()) < 1e-12);
+        assert!(matches!(
+            Jtc::ideal().with_plane_size(16).output_plane(&s, &k),
+            Err(JtcError::PlaneTooSmall { available: 16, .. })
+        ));
+    }
+
+    #[test]
+    fn pass_without_nonlinearity_checks_inputs_like_correlate() {
+        let jtc = Jtc::ideal();
+        assert_eq!(
+            jtc.pass_without_nonlinearity(&[1.0, -0.5], &[1.0]),
+            Err(JtcError::NegativeValue { which: "signal" })
+        );
+        assert_eq!(
+            jtc.pass_without_nonlinearity(&[1.0], &[-1.0]),
+            Err(JtcError::NegativeValue { which: "kernel" })
+        );
+        // Same plane geometry as `correlate`: a kernel longer than the
+        // signal needs 2·(max(ls,lk)+lk+max(ls,lk)) = 48 samples here.
+        let s = pseudo_random(3, 9);
+        let k = pseudo_random(8, 10);
+        assert_eq!(
+            jtc.clone()
+                .with_plane_size(40)
+                .pass_without_nonlinearity(&s, &k),
+            Err(JtcError::PlaneTooSmall {
+                required: 48,
+                available: 40
+            })
+        );
+        let through = jtc
+            .with_plane_size(48)
+            .pass_without_nonlinearity(&s, &k)
+            .unwrap();
+        assert!(max_abs_diff(&through, &s) < 1e-9);
     }
 
     #[test]
