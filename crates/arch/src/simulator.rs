@@ -289,6 +289,19 @@ pub fn simulate_suite(
     suite: &[Network],
     config: &AcceleratorConfig,
 ) -> Result<SuiteReport, SimError> {
+    simulate_suite_with_options(suite, config, EnergyOptions::default())
+}
+
+/// Simulates every network in `suite` with explicit [`EnergyOptions`].
+///
+/// # Errors
+///
+/// Same conditions as [`simulate_suite`].
+pub fn simulate_suite_with_options(
+    suite: &[Network],
+    config: &AcceleratorConfig,
+    options: EnergyOptions,
+) -> Result<SuiteReport, SimError> {
     if suite.is_empty() {
         return Err(SimError::EmptySuite);
     }
@@ -296,7 +309,7 @@ pub fn simulate_suite(
     // and keep suite order deterministic.
     let _suite = refocus_obs::span_with("simulate_suite", || format!("networks={}", suite.len()));
     let outcomes = grid::run(suite, None, &RunBudget::strict(), None, |net, _attempt| {
-        simulate(net, config)
+        simulate_with_options(net, config, options)
     });
     let mut reports = Vec::new();
     let mut failed = Vec::new();

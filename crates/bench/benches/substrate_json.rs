@@ -11,10 +11,10 @@
 //! cargo bench -p refocus-bench --bench substrate_json -- --trace trace.json
 //! ```
 //!
-//! Unlike the criterion targets this emits a stable JSON file meant to
-//! be checked in, so successive PRs can diff the substrate's wall-clock
-//! profile. Numbers are medians over fixed rep counts on whatever
-//! machine ran them — compare trends, not absolutes, across machines.
+//! It emits a stable JSON file meant to be checked in, so successive
+//! changes can diff the substrate's wall-clock profile. Numbers are
+//! medians over fixed rep counts on whatever machine ran them — compare
+//! trends, not absolutes, across machines.
 //!
 //! Serial/parallel pairs are measured **interleaved** (serial rep,
 //! parallel rep, serial rep, ...) rather than as two sequential blocks:
@@ -35,10 +35,11 @@
 //!   `refocus_obs::Collector` and export the chrome trace / summary.
 //!   The timed reps themselves always run with obs disabled, so these
 //!   flags never perturb the numbers being written or checked.
-//! - `--history <path>`: override the rolling history log (default: the
-//!   repo-root `BENCH_history.jsonl`). Every run — including `--check`
-//!   runs — appends one timestamped JSON line with the headline speedup
-//!   ratios and bit-identity checks, so CI artifacts accumulate a trend.
+//! - `--history <path>`: append one timestamped JSON line with the
+//!   headline speedup ratios and bit-identity checks to `path` (CI
+//!   passes it, so its artifacts accumulate a trend). Without it no
+//!   history is written, so a local run leaves the tracked
+//!   `BENCH_history.jsonl` alone.
 
 use refocus_arch::campaign::{FaultCampaign, Workload};
 use refocus_arch::config::AcceleratorConfig;
@@ -264,10 +265,6 @@ fn parse_args(args: &[String]) -> Options {
 
 fn baseline_path() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_substrate.json")
-}
-
-fn history_path() -> &'static str {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.jsonl")
 }
 
 /// Appends one timestamped line to the rolling history log. Best-effort:
@@ -511,11 +508,9 @@ fn main() {
         std::fs::write(&path, &json).expect("write bench report");
         println!("wrote {}", path.display());
     }
-    let history = opts
-        .history
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(history_path()));
-    append_history(&report, opts.check, &history);
+    if let Some(path) = &opts.history {
+        append_history(&report, opts.check, path);
+    }
     println!(
         "conv2d speedup {:.2}x, campaign speedup {:.2}x, rfft vs fft {:.2}x ({} thread(s))",
         report.speedups.conv2d,

@@ -32,7 +32,9 @@ pub use refocus_photonics as photonics;
 use refocus_arch::config::{AcceleratorConfig, OpticalBufferKind};
 use refocus_arch::energy::EnergyOptions;
 use refocus_arch::error::SimError;
-use refocus_arch::simulator::{simulate_with_options, Report, SuiteReport};
+use refocus_arch::simulator::{
+    simulate_suite_with_options, simulate_with_options, Report, SuiteReport,
+};
 use refocus_nn::layer::Network;
 
 /// Builder-style front door to the simulator.
@@ -130,6 +132,12 @@ impl Accelerator {
         self
     }
 
+    /// Sets the weight-stationary batch size.
+    pub fn with_batch(mut self, batch: usize) -> Self {
+        self.config.batch = batch;
+        self
+    }
+
     /// Charges HBM2 DRAM reads in the energy model (§7.3).
     pub fn with_dram(mut self, enabled: bool) -> Self {
         self.config.include_dram = enabled;
@@ -165,25 +173,17 @@ impl Accelerator {
         simulate_with_options(network, &self.config, self.options)
     }
 
-    /// Simulates a workload suite.
+    /// Simulates a workload suite on the shared grid executor.
+    ///
+    /// A network that fails lands in [`SuiteReport::failed`] while the
+    /// rest of the suite completes (see
+    /// [`simulate_suite_with_options`]).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptySuite`] for an empty suite, otherwise the
-    /// first per-network error (see [`Accelerator::run`]).
+    /// Returns [`SimError::EmptySuite`] for an empty suite.
     pub fn run_suite(&self, suite: &[Network]) -> Result<SuiteReport, SimError> {
-        if suite.is_empty() {
-            return Err(SimError::EmptySuite);
-        }
-        let reports = suite
-            .iter()
-            .map(|net| self.run(net))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SuiteReport {
-            config_name: self.config.name.clone(),
-            reports,
-            failed: Vec::new(),
-        })
+        simulate_suite_with_options(suite, &self.config, self.options)
     }
 }
 

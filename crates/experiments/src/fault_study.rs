@@ -8,7 +8,7 @@
 //! energy model budgets for the drift excursion.
 
 use crate::render::{Experiment, Table};
-use refocus_arch::campaign::{FaultCampaign, Workload};
+use refocus_arch::campaign::{CampaignReport, FaultCampaign, Workload};
 use refocus_arch::config::AcceleratorConfig;
 use refocus_photonics::faults::FaultSpec;
 
@@ -28,14 +28,8 @@ pub fn campaign() -> FaultCampaign {
         .with_workload(Workload::default())
 }
 
-/// Regenerates the fault study.
-pub fn run() -> Experiment {
-    let report = campaign().run().expect("campaign runs");
-    assert!(
-        report.is_complete(),
-        "default budget lost cells: {:?}",
-        report.failed
-    );
+/// Renders a campaign report's rows as the error-vs-severity table.
+pub fn table(report: &CampaignReport) -> Table {
     let mut t = Table::new(
         "output error vs fault severity (ReFOCUS-FB conv path)",
         &[
@@ -53,6 +47,17 @@ pub fn run() -> Experiment {
             format!("{:.3e}", row.mean_rms_error),
         ]);
     }
+    t
+}
+
+/// Regenerates the fault study.
+pub fn run() -> Experiment {
+    let report = campaign().run().expect("campaign runs");
+    assert!(
+        report.is_complete(),
+        "default budget lost cells: {:?}",
+        report.failed
+    );
     let mut margin = Table::new("laser fault margin", &["quantity", "value"]);
     margin.push_row(vec![
         "drift limit".into(),
@@ -63,7 +68,7 @@ pub fn run() -> Experiment {
         format!("{:.3}x", base_spec().laser_margin()),
     ]);
     Experiment::new("fault_study", "Extension: fault-injection campaign")
-        .with_table(t)
+        .with_table(table(&report))
         .with_table(margin)
 }
 

@@ -27,10 +27,12 @@
 //! | [`summary`] | headline reproduction scorecard |
 //! | [`obs_report`] | extension: render/diff attribution-ledger breakdowns |
 //!
-//! The `report` binary prints everything:
-//! `cargo run -p refocus-experiments --bin report [--experiment fig11] [--json]`.
-//! The `obs-report` binary renders and diffs the obs summary JSON a traced
-//! run exports: `obs-report render run.json`, `obs-report diff a.json b.json`.
+//! The crate is a library; the root package's `refocus-sim` CLI is its
+//! front end. `refocus-sim report [--experiment fig11] [--json]` prints
+//! the experiments, `refocus-sim fault-study` runs the fault campaign
+//! with checkpoint/resume and budget controls, and `refocus-sim
+//! obs-report render run.json` / `obs-report diff a.json b.json` render
+//! and diff the obs summary JSON a traced run exports.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

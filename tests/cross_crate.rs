@@ -173,3 +173,32 @@ fn report_serializes_to_json() {
     assert_eq!(back.network_name, r.network_name);
     assert!((back.metrics.fps - r.metrics.fps).abs() < 1e-9);
 }
+
+#[test]
+fn builder_suite_matches_simulate_suite() {
+    let suite = models::evaluation_suite();
+    let via_builder = refocus::Accelerator::refocus_fb()
+        .run_suite(&suite)
+        .unwrap();
+    let direct =
+        refocus::arch::simulator::simulate_suite(&suite, &AcceleratorConfig::refocus_fb()).unwrap();
+    assert_eq!(
+        serde_json::to_string(&via_builder).unwrap(),
+        serde_json::to_string(&direct).unwrap()
+    );
+}
+
+#[test]
+fn builder_suite_reports_a_failing_network_and_completes_the_rest() {
+    // `Network::new` refuses empty layer lists; a deserialized one does not.
+    let empty: refocus::nn::layer::Network =
+        serde_json::from_str(r#"{"name":"empty-net","layers":[]}"#).unwrap();
+    let mut suite = models::evaluation_suite();
+    suite.insert(1, empty);
+    let s = refocus::Accelerator::refocus_fb()
+        .run_suite(&suite)
+        .unwrap();
+    assert_eq!(s.reports.len(), 5);
+    assert_eq!(s.failed.len(), 1);
+    assert_eq!(s.failed[0].network, "empty-net");
+}
