@@ -13,11 +13,12 @@ use crate::config::AcceleratorConfig;
 use refocus_nn::conv::ConvError;
 use refocus_nn::quant::PseudoNegativeSplit;
 use refocus_nn::tensor::{Tensor3, Tensor4};
-use refocus_nn::tiling::{tiled_conv2d_with, TilingError, TilingMode};
+use refocus_nn::tiling::{tiled_passes, TiledPasses, TilingError, TilingMode};
 use refocus_photonics::buffer::FeedbackBuffer;
 use refocus_photonics::faults::FaultInjector;
-use refocus_photonics::jtc::Jtc;
+use refocus_photonics::jtc::{Jtc, JtcScratch, Spectrum};
 use std::fmt;
+use std::ops::Range;
 
 /// Errors from functional execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,6 +148,13 @@ impl OpticalExecutor {
     /// Computes `conv2d(input, weights)` (stride/padding like
     /// [`refocus_nn::conv::conv2d`]) entirely through optical passes.
     ///
+    /// Passes follow [`tiled_passes`], which on row-partitioned layers
+    /// computes only the output rows the stride keeps. Without a DAC and
+    /// without a live fault model, passes start from lens-1 spectra built
+    /// once per signal or kernel tile ([`Jtc::correlate_spectra`]);
+    /// otherwise each pass runs [`Jtc::correlate`] or
+    /// [`Jtc::correlate_with_faults`].
+    ///
     /// Output channels execute in parallel on the [`refocus_par`] pool.
     /// Results are bit-identical at every thread count: each channel
     /// derives its fault/noise stream purely from the layer's fan-out
@@ -248,11 +256,21 @@ impl OpticalExecutor {
         let out_h = (full_h - 1) / stride + 1;
         let out_w = (full_w - 1) / stride + 1;
 
-        // Row extraction is identical for every output channel; hoist it
-        // out of the fan-out instead of repeating it per (o, i).
+        // The pass list and the row extraction are identical for every
+        // output channel; hoist them out of the fan-out.
+        let plan = tiled_passes(
+            (padded.height(), padded.width()),
+            (kh, kw),
+            tile,
+            mode,
+            stride,
+        )?;
         let channel_rows: Vec<Vec<Vec<f64>>> = (0..input.channels())
             .map(|i| padded.channel_rows(i).iter().map(|r| r.to_vec()).collect())
             .collect();
+        // The route rule: lens-1 spectra are reusable unless a DAC couples
+        // the operands or a live fault model perturbs each pass.
+        let spectral = jtc.supports_spectra() && faults.is_none_or(FaultInjector::is_transparent);
 
         let channels: Vec<usize> = (0..weights.out_channels()).collect();
         let results: Vec<Result<(Vec<f64>, u64), FunctionalError>> =
@@ -261,29 +279,34 @@ impl OpticalExecutor {
                 // row-tiling fan-out distributes over pool threads.
                 let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
                 let mut worker_faults = faults.map(|f| f.for_work_item(epoch, o as u64));
+                let mut scratch = JtcScratch::default();
                 let mut local_passes = 0u64;
                 // Accumulate positive and negative halves over channels.
-                let mut pos = vec![vec![0.0; full_w]; full_h];
-                let mut neg = vec![vec![0.0; full_w]; full_h];
+                let mut pos = plan.zeros();
+                let mut neg = plan.zeros();
                 for (i, rows) in channel_rows.iter().enumerate() {
-                    for (half, acc) in [
-                        (split.positive.kernel(o, i), &mut pos),
-                        (split.negative.kernel(o, i), &mut neg),
-                    ] {
-                        let partial = tiled_conv2d_with(rows, &half, tile, mode, |s, k| {
-                            local_passes += 1;
-                            let out = match worker_faults.as_mut() {
-                                Some(fi) => jtc.correlate_with_faults(s, k, fi),
-                                None => jtc.correlate(s, k),
-                            }
-                            .expect("tiling guarantees non-negative, well-sized operands");
-                            out.valid().to_vec()
-                        })?;
-                        for (ar, pr) in acc.iter_mut().zip(&partial) {
-                            for (a, p) in ar.iter_mut().zip(pr) {
-                                *a += p;
-                            }
-                        }
+                    let halves = [split.positive.kernel(o, i), split.negative.kernel(o, i)];
+                    let accs = [&mut pos, &mut neg];
+                    if spectral {
+                        local_passes += 2 * plan.passes.len() as u64;
+                        spectral_halves(jtc, &plan, rows, &halves, accs, &mut scratch);
+                        continue;
+                    }
+                    for (half, acc) in halves.iter().zip(accs) {
+                        plan.run(
+                            rows,
+                            half,
+                            |s, k| {
+                                local_passes += 1;
+                                let out = match worker_faults.as_mut() {
+                                    Some(fi) => jtc.correlate_with_faults(s, k, fi),
+                                    None => jtc.correlate(s, k),
+                                }
+                                .expect(VALID_OPERANDS);
+                                out.valid().to_vec()
+                            },
+                            |r, values| add_row(&mut acc[r], values),
+                        );
                     }
                 }
                 // Digital recombination + stride subsampling.
@@ -410,6 +433,74 @@ impl OpticalExecutor {
         }
         self.passes.set(self.passes.get() + total_passes);
         Ok(out.expect("at least one output filter"))
+    }
+}
+
+const VALID_OPERANDS: &str = "tiling guarantees non-negative, well-sized operands";
+
+fn add_row(acc: &mut [f64], values: &[f64]) {
+    for (a, v) in acc.iter_mut().zip(values) {
+        *a += v;
+    }
+}
+
+/// Both pseudo-negative halves of one (output, input) channel pair on the
+/// spectral route, added into `accs`: each signal tile goes through lens 1
+/// once and serves both halves and every pass that reads it; each kernel
+/// tile goes through lens 1 once per geometry. A signal spectrum lives
+/// only while a later pass may read it — tiles starting at or below the
+/// current pass's output row, at most `2k` of them when row-partitioned
+/// (`k` when one row fits a pass).
+fn spectral_halves(
+    jtc: &Jtc,
+    plan: &TiledPasses,
+    rows: &[Vec<f64>],
+    halves: &[Vec<Vec<f64>>; 2],
+    accs: [&mut Vec<Vec<f64>>; 2],
+    scratch: &mut JtcScratch,
+) {
+    // Keyed by tile rows and the other operand's length, which with the
+    // tile's own length fixes the plane geometry.
+    let mut signals: Vec<(Range<usize>, usize, Spectrum)> = Vec::new();
+    let mut kernels: [Vec<(Range<usize>, usize, Spectrum)>; 2] = Default::default();
+    let mut partial_rows: [Vec<f64>; 2] = Default::default();
+    for pass in &plan.passes {
+        let (ls, lk) = (plan.signal_len(pass), plan.kernel_len(pass));
+        signals.retain(|(tile, _, _)| tile.start >= pass.out_row);
+        let signal = match signals
+            .iter()
+            .position(|(tile, len, _)| *tile == pass.signal_rows && *len == lk)
+        {
+            Some(at) => at,
+            None => {
+                let spectrum = jtc
+                    .signal_spectrum(&plan.signal(rows, pass), lk)
+                    .expect(VALID_OPERANDS);
+                signals.push((pass.signal_rows.clone(), lk, spectrum));
+                signals.len() - 1
+            }
+        };
+        for (h, half) in halves.iter().enumerate() {
+            let cache = &mut kernels[h];
+            let kernel = match cache
+                .iter()
+                .position(|(tile, len, _)| *tile == pass.kernel_rows && *len == ls)
+            {
+                Some(at) => at,
+                None => {
+                    let spectrum = jtc
+                        .kernel_spectrum(&plan.kernel(half, pass), ls)
+                        .expect(VALID_OPERANDS);
+                    cache.push((pass.kernel_rows.clone(), ls, spectrum));
+                    cache.len() - 1
+                }
+            };
+            let out = jtc.correlate_spectra(&signals[signal].2, &cache[kernel].2, scratch);
+            let acc = &mut *accs[h];
+            plan.fold(pass, out.valid(), &mut partial_rows[h], |r, values| {
+                add_row(&mut acc[r], values)
+            });
+        }
     }
 }
 
@@ -584,6 +675,124 @@ mod tests {
             .conv2d(&input, &weights, 1, 1)
             .expect("optical conv runs");
         assert_eq!(a.data(), b.data());
+    }
+
+    /// Every element of `strided` against the stride-1 output `full` at
+    /// the rows and columns the stride keeps, bit for bit.
+    fn assert_subsampled(strided: &Tensor3, full: &Tensor3, stride: usize) {
+        let (c, h, w) = strided.shape();
+        for o in 0..c {
+            for y in 0..h {
+                for x in 0..w {
+                    assert_eq!(
+                        strided.get(o, y, x).to_bits(),
+                        full.get(o, y * stride, x * stride).to_bits(),
+                        "({o}, {y}, {x})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strided_partitioned_rows_are_the_stride_one_rows() {
+        // The default 256-waveguide tile holds two exact 116-sample rows of
+        // a 112-wide, padding-1 input: fewer than k = 3, so row-partitioned.
+        let input = Tensor3::random(2, 16, 112, 0.0, 1.0, 30);
+        let weights = Tensor4::random(2, 2, 3, 3, -1.0, 1.0, 31);
+        let config = AcceleratorConfig::refocus_ff();
+        let plan = refocus_nn::tiling::TilingPlan::plan(
+            (16, 112),
+            3,
+            2,
+            1,
+            config.tile,
+            TilingMode::Exact,
+        )
+        .expect("the shape tiles");
+        assert!(plan.row_partitioned);
+        for exec in [OpticalExecutor::ideal(), OpticalExecutor::quantized()] {
+            let full = exec.conv2d(&input, &weights, 1, 1).expect("stride 1 runs");
+            let before = exec.passes();
+            let strided = exec.conv2d(&input, &weights, 2, 1).expect("stride 2 runs");
+            assert_subsampled(&strided, &full, 2);
+            // Only the kept rows run: the analytical plan's count, per
+            // (input, output) channel pair and pseudo-negative half.
+            assert_eq!(exec.passes() - before, (plan.passes * 2 * 2 * 2) as u64);
+        }
+    }
+
+    /// The direct route by hand: every pass through `Jtc::correlate` via
+    /// `tiled_conv2d_with`, halves accumulated over input channels.
+    fn per_pass_reference(input: &Tensor3, weights: &Tensor4, padding: usize) -> Tensor3 {
+        let jtc = Jtc::ideal();
+        let tile = AcceleratorConfig::refocus_ff().tile;
+        let split = PseudoNegativeSplit::of(weights);
+        let padded = input.pad_spatial(padding);
+        let mut out: Option<Tensor3> = None;
+        for o in 0..weights.out_channels() {
+            let mut acc: Option<Vec<Vec<f64>>> = None;
+            for i in 0..input.channels() {
+                let rows: Vec<Vec<f64>> =
+                    padded.channel_rows(i).iter().map(|r| r.to_vec()).collect();
+                for (sign, half) in [
+                    (1.0, split.positive.kernel(o, i)),
+                    (-1.0, split.negative.kernel(o, i)),
+                ] {
+                    let partial = refocus_nn::tiling::tiled_conv2d_with(
+                        &rows,
+                        &half,
+                        tile,
+                        TilingMode::Exact,
+                        |s, k| {
+                            jtc.correlate(s, k)
+                                .expect("valid operands")
+                                .valid()
+                                .to_vec()
+                        },
+                    )
+                    .expect("the shape tiles");
+                    let acc =
+                        acc.get_or_insert_with(|| vec![vec![0.0; partial[0].len()]; partial.len()]);
+                    for (ar, pr) in acc.iter_mut().zip(&partial) {
+                        for (a, p) in ar.iter_mut().zip(pr) {
+                            *a += sign * p;
+                        }
+                    }
+                }
+            }
+            let acc = acc.expect("at least one input channel");
+            let out = out.get_or_insert_with(|| {
+                Tensor3::zeros(weights.out_channels(), acc.len(), acc[0].len())
+            });
+            for (y, row) in acc.iter().enumerate() {
+                for (x, v) in row.iter().enumerate() {
+                    out.set(o, y, x, *v);
+                }
+            }
+        }
+        out.expect("at least one output channel")
+    }
+
+    #[test]
+    fn spectral_route_matches_per_pass_correlation() {
+        // A row-partitioned and a multi-row shape, with and without padding.
+        for (h, w, padding, seed) in [
+            (6, 112, 0, 40),
+            (6, 112, 1, 42),
+            (10, 10, 0, 44),
+            (10, 10, 1, 46),
+        ] {
+            let input = Tensor3::random(2, h, w, 0.0, 1.0, seed);
+            let weights = Tensor4::random(2, 2, 3, 3, -1.0, 1.0, seed + 1);
+            let optical = OpticalExecutor::ideal()
+                .conv2d(&input, &weights, 1, padding)
+                .expect("optical conv runs");
+            let reference = per_pass_reference(&input, &weights, padding);
+            assert_eq!(optical.shape(), reference.shape());
+            let gap = max_diff(&optical, &reference) / reference.max_abs();
+            assert!(gap < 1e-12, "{h}x{w} p={padding}: relative gap {gap}");
+        }
     }
 
     #[test]

@@ -149,3 +149,35 @@ fn disabled_instrumentation_records_nothing() {
     assert_eq!(obs.counter("jtc.passes"), 0);
     assert_eq!(obs.to_chrome_trace().trim(), "[]");
 }
+
+/// The ideal executor's spectral route still opens one `jtc.correlate`
+/// span and counts one `jtc.passes` per optical pass, so per-pass metrics
+/// agree with the executor's own count.
+#[test]
+fn spectral_route_counts_every_pass() {
+    use refocus_arch::functional::OpticalExecutor;
+    use refocus_nn::tensor::{Tensor3, Tensor4};
+
+    let _gate = serial();
+    let exec = OpticalExecutor::ideal();
+    // 112 wide: row-partitioned, so signal spectra serve several passes.
+    let input = Tensor3::random(2, 8, 112, 0.0, 1.0, 3);
+    let weights = Tensor4::random(2, 2, 3, 3, -1.0, 1.0, 4);
+    let collector = refocus_obs::Collector::enabled();
+    exec.conv2d(&input, &weights, 1, 1).expect("conv runs");
+    let obs = collector.finish();
+
+    let passes = exec.passes();
+    assert!(passes > 0);
+    assert_eq!(obs.counter("jtc.passes"), passes);
+    assert_eq!(obs.counter("conv2d.optical_passes"), passes);
+    let correlate = obs.span("jtc.correlate").expect("jtc.correlate spans");
+    assert_eq!(correlate.count, passes);
+    // Lens 1 ran once per spectrum, fewer times than there were passes.
+    let lens1 = obs.span("jtc.lens1.fft").expect("spectrum builds");
+    assert!(
+        lens1.count < passes,
+        "{} spectra for {passes} passes",
+        lens1.count
+    );
+}

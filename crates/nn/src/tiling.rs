@@ -29,6 +29,7 @@
 use refocus_photonics::signal::correlate_valid;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// Whether rows are zero-padded for exactness or packed for density.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -252,10 +253,226 @@ pub fn tile_kernel(kernel: &[Vec<f64>], row_len: usize) -> Vec<f64> {
     out
 }
 
+/// One optical pass of a row-tiled convolution (see [`tiled_passes`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TiledPass {
+    /// Input rows tiled into the pass's 1-D signal.
+    pub signal_rows: Range<usize>,
+    /// Kernel rows tiled into the pass's 1-D kernel.
+    pub kernel_rows: Range<usize>,
+    /// First output row the pass produces.
+    pub out_row: usize,
+    /// Output rows the pass produces, `out_row..out_row + out_rows`.
+    pub out_rows: usize,
+    /// A row-partitioned pass: its output is the partial sum of row
+    /// `out_row` over `kernel_rows`, accumulated digitally with the other
+    /// passes of that row. Otherwise every produced row is complete.
+    pub partial: bool,
+}
+
+/// The passes one (input channel, kernel) convolution makes on a
+/// `tile`-waveguide JTC, in execution order, with the layout that turns
+/// them into 1-D operands and back.
+///
+/// Passes come in non-decreasing `out_row` order and no pass reads an
+/// input row above its `out_row`, so a caller may drop anything it cached
+/// for rows above the current pass's `out_row`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TiledPasses {
+    /// Waveguides per tiled row (`L`).
+    pub row_len: usize,
+    /// Valid output rows at stride 1 (`h - k + 1`).
+    pub out_h: usize,
+    /// Valid output columns at stride 1 (`w - kw + 1`).
+    pub out_w: usize,
+    kernel_h: usize,
+    kernel_w: usize,
+    /// The passes.
+    pub passes: Vec<TiledPass>,
+}
+
+/// Enumerates the JTC passes of the valid 2-D convolution of an
+/// `input_hw` input with a `kernel_hw` kernel (the geometry of
+/// [`tiled_conv2d_with`]), for a convolution of the given `stride`.
+///
+/// When the tile holds at least `k` rows, each pass loads as many rows as
+/// fit and yields every valid row among them. Otherwise (row
+/// partitioning) each output row takes its own `k`-row window in
+/// sub-passes of at most as many rows as fit; with `stride > 1` only the
+/// rows `oy % stride == 0` the stride keeps are enumerated.
+///
+/// # Errors
+///
+/// Returns [`TilingError`] for a zero dimension or stride, a kernel
+/// larger than the input, or a row wider than the tile.
+pub fn tiled_passes(
+    input_hw: (usize, usize),
+    kernel_hw: (usize, usize),
+    tile: usize,
+    mode: TilingMode,
+    stride: usize,
+) -> Result<TiledPasses, TilingError> {
+    let ((h, w), (k, kw)) = (input_hw, kernel_hw);
+    if h == 0 || w == 0 {
+        return Err(TilingError::BadOperand("empty input"));
+    }
+    if k == 0 || kw == 0 {
+        return Err(TilingError::BadOperand("empty kernel"));
+    }
+    if stride == 0 {
+        return Err(TilingError::BadOperand("zero stride"));
+    }
+    if k > h || kw > w {
+        return Err(TilingError::KernelTooLarge);
+    }
+    let row_len = match mode {
+        TilingMode::Exact => w + kw - 1,
+        TilingMode::Approximate => w,
+    };
+    if row_len > tile {
+        return Err(TilingError::RowTooWide { row_len, tile });
+    }
+
+    let out_h = h - k + 1;
+    let rows_per_pass = (tile / row_len).min(h);
+    let mut passes = Vec::new();
+    if rows_per_pass < k {
+        // Row partitioning: compute each output row from a k-row window,
+        // splitting the window across sub-passes that each fit the tile and
+        // accumulating digitally.
+        let rows_per_sub = rows_per_pass.max(1);
+        for oy in (0..out_h).step_by(stride) {
+            let mut j0 = 0;
+            while j0 < k {
+                let j1 = (j0 + rows_per_sub).min(k);
+                passes.push(TiledPass {
+                    signal_rows: oy + j0..oy + j1,
+                    kernel_rows: j0..j1,
+                    out_row: oy,
+                    out_rows: 1,
+                    partial: true,
+                });
+                j0 = j1;
+            }
+        }
+    } else {
+        let valid_per_pass = rows_per_pass - k + 1;
+        let mut r0 = 0;
+        while r0 < out_h {
+            let rows_this_pass = rows_per_pass.min(h - r0);
+            let valid_here = (rows_this_pass - k + 1).min(out_h - r0);
+            passes.push(TiledPass {
+                signal_rows: r0..r0 + rows_this_pass,
+                kernel_rows: 0..k,
+                out_row: r0,
+                out_rows: valid_here,
+                partial: false,
+            });
+            r0 += valid_per_pass.min(valid_here.max(1));
+        }
+    }
+    Ok(TiledPasses {
+        row_len,
+        out_h,
+        out_w: w - kw + 1,
+        kernel_h: k,
+        kernel_w: kw,
+        passes,
+    })
+}
+
+impl TiledPasses {
+    /// Samples in the pass's 1-D signal.
+    pub fn signal_len(&self, pass: &TiledPass) -> usize {
+        pass.signal_rows.len() * self.row_len
+    }
+
+    /// Samples in the pass's 1-D kernel.
+    pub fn kernel_len(&self, pass: &TiledPass) -> usize {
+        (pass.kernel_rows.len() - 1) * self.row_len + self.kernel_w
+    }
+
+    /// The pass's 1-D signal: its input rows tiled at `row_len`.
+    pub fn signal(&self, input: &[Vec<f64>], pass: &TiledPass) -> Vec<f64> {
+        let rows: Vec<&[f64]> = input[pass.signal_rows.clone()]
+            .iter()
+            .map(Vec::as_slice)
+            .collect();
+        tile_rows(&rows, self.row_len)
+    }
+
+    /// The pass's 1-D kernel: its kernel rows tiled at `row_len`.
+    pub fn kernel(&self, kernel: &[Vec<f64>], pass: &TiledPass) -> Vec<f64> {
+        tile_kernel(&kernel[pass.kernel_rows.clone()], self.row_len)
+    }
+
+    /// A zeroed `out_h × out_w` output.
+    pub fn zeros(&self) -> Vec<Vec<f64>> {
+        vec![vec![0.0; self.out_w]; self.out_h]
+    }
+
+    /// Folds a pass's valid 1-D correlation `corr` into finished output
+    /// rows, calling `finish(out_row, values)` for each. A complete pass
+    /// finishes its rows directly; a partial pass adds into `row` (reset
+    /// by the first sub-pass of each output row) and finishes the row with
+    /// its last sub-pass.
+    pub fn fold(
+        &self,
+        pass: &TiledPass,
+        corr: &[f64],
+        row: &mut Vec<f64>,
+        mut finish: impl FnMut(usize, &[f64]),
+    ) {
+        if !pass.partial {
+            for r in 0..pass.out_rows {
+                let base = r * self.row_len;
+                finish(pass.out_row + r, &corr[base..base + self.out_w]);
+            }
+            return;
+        }
+        if pass.kernel_rows.start == 0 {
+            row.clear();
+            row.resize(self.out_w, 0.0);
+        }
+        for (a, c) in row.iter_mut().zip(corr) {
+            *a += c;
+        }
+        if pass.kernel_rows.end == self.kernel_h {
+            finish(pass.out_row, row);
+        }
+    }
+
+    /// Runs every pass through `correlate_1d` (see [`tiled_conv2d_with`])
+    /// and hands each finished output row to `finish` (see
+    /// [`TiledPasses::fold`]).
+    pub fn run(
+        &self,
+        input: &[Vec<f64>],
+        kernel: &[Vec<f64>],
+        mut correlate_1d: impl FnMut(&[f64], &[f64]) -> Vec<f64>,
+        mut finish: impl FnMut(usize, &[f64]),
+    ) {
+        let mut row = Vec::new();
+        let mut tiled_kernel: Option<(Range<usize>, Vec<f64>)> = None;
+        for pass in &self.passes {
+            if tiled_kernel
+                .as_ref()
+                .is_none_or(|(rows, _)| *rows != pass.kernel_rows)
+            {
+                tiled_kernel = Some((pass.kernel_rows.clone(), self.kernel(kernel, pass)));
+            }
+            let (_, ker_1d) = tiled_kernel.as_ref().expect("set above");
+            let corr = correlate_1d(&self.signal(input, pass), ker_1d);
+            self.fold(pass, &corr, &mut row, &mut finish);
+        }
+    }
+}
+
 /// Computes the **valid** 2-D convolution of `input` rows with `kernel`
 /// using row tiling over a `tile`-waveguide 1-D correlator, where each 1-D
 /// pass is executed by `correlate_1d` (a valid 1-D cross-correlation:
-/// `out[i] = Σ_k sig[i+k]·ker[k]`).
+/// `out[i] = Σ_k sig[i+k]·ker[k]`). The passes are those of
+/// [`tiled_passes`] at stride 1.
 ///
 /// This is the hook the architecture's functional path uses to route passes
 /// through the *optical* JTC model instead of digital math.
@@ -268,7 +485,7 @@ pub fn tiled_conv2d_with<F>(
     kernel: &[Vec<f64>],
     tile: usize,
     mode: TilingMode,
-    mut correlate_1d: F,
+    correlate_1d: F,
 ) -> Result<Vec<Vec<f64>>, TilingError>
 where
     F: FnMut(&[f64], &[f64]) -> Vec<f64>,
@@ -279,75 +496,19 @@ where
     if kernel.is_empty() || kernel[0].is_empty() {
         return Err(TilingError::BadOperand("empty kernel"));
     }
-    let h = input.len();
-    let w = input[0].len();
+    let (h, w) = (input.len(), input[0].len());
     if input.iter().any(|r| r.len() != w) {
         return Err(TilingError::BadOperand("ragged input"));
     }
-    let k = kernel.len();
-    let kw = kernel[0].len();
+    let (k, kw) = (kernel.len(), kernel[0].len());
     if kernel.iter().any(|r| r.len() != kw) {
         return Err(TilingError::BadOperand("ragged kernel"));
     }
-    if k > h || kw > w {
-        return Err(TilingError::KernelTooLarge);
-    }
-
-    let row_len = match mode {
-        TilingMode::Exact => w + kw - 1,
-        TilingMode::Approximate => w,
-    };
-    if row_len > tile {
-        return Err(TilingError::RowTooWide { row_len, tile });
-    }
-
-    let out_h = h - k + 1;
-    let out_w = w - kw + 1;
-    let rows_per_pass = (tile / row_len).min(h);
-    let kernel_1d = tile_kernel(kernel, row_len);
-    let mut out = Vec::with_capacity(out_h);
-
-    if rows_per_pass < k {
-        // Row partitioning: compute each output row from a k-row window,
-        // splitting the window across sub-passes that each fit the tile and
-        // accumulating digitally.
-        let rows_per_sub = rows_per_pass.max(1);
-        for oy in 0..out_h {
-            let mut acc = vec![0.0; out_w];
-            let mut j0 = 0;
-            while j0 < k {
-                let j1 = (j0 + rows_per_sub).min(k);
-                let chunk: Vec<&[f64]> = (j0..j1).map(|j| input[oy + j].as_slice()).collect();
-                let signal = tile_rows(&chunk, row_len);
-                let sub_kernel: Vec<Vec<f64>> = kernel[j0..j1].to_vec();
-                let ker_1d = tile_kernel(&sub_kernel, row_len);
-                let corr = correlate_1d(&signal, &ker_1d);
-                for (c, a) in acc.iter_mut().enumerate() {
-                    *a += corr[c];
-                }
-                j0 = j1;
-            }
-            out.push(acc);
-        }
-        return Ok(out);
-    }
-
-    let valid_per_pass = rows_per_pass - k + 1;
-    let mut r0 = 0;
-    while r0 < out_h {
-        let rows_this_pass = rows_per_pass.min(h - r0);
-        let chunk: Vec<&[f64]> = (r0..r0 + rows_this_pass)
-            .map(|r| input[r].as_slice())
-            .collect();
-        let signal = tile_rows(&chunk, row_len);
-        let corr = correlate_1d(&signal, &kernel_1d);
-        let valid_here = (rows_this_pass - k + 1).min(out_h - r0);
-        for r in 0..valid_here {
-            let base = r * row_len;
-            out.push(corr[base..base + out_w].to_vec());
-        }
-        r0 += valid_per_pass.min(valid_here.max(1));
-    }
+    let plan = tiled_passes((h, w), (k, kw), tile, mode, 1)?;
+    let mut out = plan.zeros();
+    plan.run(input, kernel, correlate_1d, |r, values| {
+        out[r].copy_from_slice(values)
+    });
     Ok(out)
 }
 
@@ -542,6 +703,92 @@ mod tests {
         assert_matrix_close(&got, &want, 1e-9);
         // Valid conv: 30 output rows, 6 per pass -> 5 passes.
         assert_eq!(passes, 5);
+    }
+
+    #[test]
+    fn strided_partitioned_passes_keep_only_strided_rows() {
+        // Exact row = 112 + 2 = 114: two rows per 256-wide pass < k = 3.
+        let s1 = tiled_passes((20, 112), (3, 3), 256, TilingMode::Exact, 1).unwrap();
+        let s2 = tiled_passes((20, 112), (3, 3), 256, TilingMode::Exact, 2).unwrap();
+        assert_eq!((s1.out_h, s1.row_len), (18, 114));
+        // Each output row: rows 0..2, then row 2, of its window.
+        assert_eq!(s1.passes.len(), 18 * 2);
+        assert_eq!(s2.passes.len(), 9 * 2);
+        for pass in &s2.passes {
+            assert_eq!(pass.out_row % 2, 0);
+            assert!(pass.partial && pass.out_rows == 1);
+        }
+        // The kept rows' passes are exactly the stride-1 passes for them.
+        let kept: Vec<_> = s1.passes.iter().filter(|p| p.out_row % 2 == 0).collect();
+        assert_eq!(kept, s2.passes.iter().collect::<Vec<_>>());
+        assert_eq!(s2.passes[1].signal_rows, 2..3);
+        assert_eq!(s2.passes[1].kernel_rows, 2..3);
+        // The analytical plan counts the same passes.
+        let plan = TilingPlan::plan((18, 110), 3, 2, 1, 256, TilingMode::Exact).unwrap();
+        assert_eq!(plan.passes, s2.passes.len());
+    }
+
+    #[test]
+    fn multi_row_passes_ignore_the_stride() {
+        let s1 = tiled_passes((32, 32), (3, 3), 256, TilingMode::Exact, 1).unwrap();
+        let s2 = tiled_passes((32, 32), (3, 3), 256, TilingMode::Exact, 2).unwrap();
+        assert_eq!(s1, s2);
+        assert!(s1
+            .passes
+            .iter()
+            .all(|p| !p.partial && p.kernel_rows == (0..3)));
+        // 7 rows of 34 per pass, 5 valid: rows 0, 5, .., 25 start a pass.
+        assert_eq!(s1.passes.len(), 6);
+        assert_eq!(s1.passes[5].signal_rows, 25..32);
+        assert_eq!(s1.passes[5].out_rows, 5);
+    }
+
+    #[test]
+    fn passes_never_read_above_their_output_row() {
+        for (h, w, k, tile, stride) in [
+            (12usize, 20usize, 5usize, 50usize, 1usize),
+            (12, 20, 5, 50, 3),
+            (16, 12, 3, 64, 1),
+            (6, 10, 3, 12, 2),
+        ] {
+            let plan = tiled_passes((h, w), (k, k), tile, TilingMode::Exact, stride).unwrap();
+            for pair in plan.passes.windows(2) {
+                assert!(pair[0].out_row <= pair[1].out_row);
+            }
+            for pass in &plan.passes {
+                assert!(pass.signal_rows.start >= pass.out_row);
+                if pass.partial {
+                    assert_eq!(pass.signal_rows.len(), pass.kernel_rows.len());
+                } else {
+                    assert_eq!(pass.kernel_rows, 0..k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pass_list_rejects_bad_geometry() {
+        let exact = TilingMode::Exact;
+        assert_eq!(
+            tiled_passes((4, 4), (3, 3), 64, exact, 0),
+            Err(TilingError::BadOperand("zero stride"))
+        );
+        assert_eq!(
+            tiled_passes((0, 4), (3, 3), 64, exact, 1),
+            Err(TilingError::BadOperand("empty input"))
+        );
+        assert_eq!(
+            tiled_passes((4, 4), (0, 3), 64, exact, 1),
+            Err(TilingError::BadOperand("empty kernel"))
+        );
+        assert_eq!(
+            tiled_passes((4, 4), (5, 5), 64, exact, 1),
+            Err(TilingError::KernelTooLarge)
+        );
+        assert!(matches!(
+            tiled_passes((4, 4), (2, 2), 4, exact, 1),
+            Err(TilingError::RowTooWide { .. })
+        ));
     }
 
     #[test]

@@ -83,41 +83,63 @@ pub fn fft_real(x: &[f64]) -> Vec<Complex64> {
 /// }
 /// ```
 pub fn rfft(x: &[f64]) -> Vec<Complex64> {
+    let mut out = vec![Complex64::ZERO; x.len()];
+    rfft_into(x, &mut out);
+    out
+}
+
+/// [`rfft`] into a caller-owned buffer, so a hot loop can reuse one
+/// allocation across transforms. Bit-identical to [`rfft`].
+///
+/// # Panics
+///
+/// Panics if `out.len() != x.len()`.
+pub(crate) fn rfft_into(x: &[f64], out: &mut [Complex64]) {
     let n = x.len();
+    assert_eq!(out.len(), n, "rfft output length must match the input");
     if n <= 1 || !n.is_power_of_two() {
-        return fft_real(x);
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = Complex64::from_real(v);
+        }
+        fft(out);
+        return;
     }
     let half = n / 2;
     // Pack even samples into the real lane, odd samples into the imaginary
-    // lane, and transform the half-length sequence.
-    let mut z: Vec<Complex64> = (0..half)
-        .map(|i| Complex64::new(x[2 * i], x[2 * i + 1]))
-        .collect();
-    fft(&mut z);
+    // lane, and transform the half-length sequence `Z` in the lower half.
+    for (i, z) in out[..half].iter_mut().enumerate() {
+        *z = Complex64::new(x[2 * i], x[2 * i + 1]);
+    }
+    fft(&mut out[..half]);
     // Unpack: with E/O the half-length DFTs of the even/odd samples,
     //   E[k] = (Z[k] + conj(Z[-k])) / 2,   O[k] = (Z[k] - conj(Z[-k])) / 2i,
     //   X[k] = E[k] + W^k O[k],  X[k+N/2] = E[k] - W^k O[k],  W = e^(-2πi/N).
     // The W^k table for k < N/2 is exactly the full-length plan's last
     // butterfly stage, so the unpack borrows it from the plan cache
-    // instead of paying N/2 sin/cos evaluations per call.
-    let mut out = vec![Complex64::ZERO; n];
+    // instead of paying N/2 sin/cos evaluations per call. Bins k and
+    // N/2 - k read the same two `Z` samples, so each pair is unpacked
+    // together and overwrites only the slots it has read.
     with_plan(n, |plan| {
         let (_, offset) = *plan
             .stage_offsets
             .last()
             .expect("plans always have at least one stage");
         let w = &plan.twiddles[offset..offset + half];
-        for k in 0..half {
-            let zk = z[k];
-            let zc = z[(half - k) % half].conj();
+        let unpack = |zk: Complex64, zc: Complex64, w: Complex64| {
             let even = (zk + zc).scale(0.5);
             let odd = (zk - zc) * Complex64::new(0.0, -0.5);
-            let t = w[k] * odd;
-            out[k] = even + t;
-            out[k + half] = even - t;
+            let t = w * odd;
+            (even + t, even - t)
+        };
+        for k in 0..=half / 2 {
+            let j = (half - k) % half;
+            let (zk, zj) = (out[k], out[j]);
+            (out[k], out[k + half]) = unpack(zk, zj.conj(), w[k]);
+            if j != k {
+                (out[j], out[j + half]) = unpack(zj, zk.conj(), w[j]);
+            }
         }
     });
-    out
 }
 
 /// Inverse DFT (including the `1/N` scaling) of a **real-valued**
@@ -125,12 +147,23 @@ pub fn rfft(x: &[f64]) -> Vec<Complex64> {
 /// The JTC's second lens runs on exactly this shape — the Fourier-plane
 /// intensity `|E|²` after the square-law nonlinearity is real.
 pub fn ifft_real(x: &[f64]) -> Vec<Complex64> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
+    let mut out = vec![Complex64::ZERO; x.len()];
+    ifft_real_into(x, &mut out);
+    out
+}
+
+/// [`ifft_real`] into a caller-owned buffer. Bit-identical to
+/// [`ifft_real`].
+///
+/// # Panics
+///
+/// Panics if `out.len() != x.len()`.
+pub(crate) fn ifft_real_into(x: &[f64], out: &mut [Complex64]) {
+    rfft_into(x, out);
+    let inv_n = 1.0 / x.len() as f64;
+    for v in out.iter_mut() {
+        *v = v.conj().scale(inv_n);
     }
-    let inv_n = 1.0 / n as f64;
-    rfft(x).into_iter().map(|v| v.conj().scale(inv_n)).collect()
 }
 
 /// Transform direction.

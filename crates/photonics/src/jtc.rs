@@ -17,6 +17,12 @@
 //! passing inputs/outputs through the 8-bit DAC/ADC models so end-to-end
 //! numerics include quantization.
 //!
+//! Lens 1 is linear, so without a DAC (which normalizes by the operands'
+//! joint peak) a pass may also start at the Fourier plane: build each
+//! operand's spectrum once with [`Jtc::signal_spectrum`] /
+//! [`Jtc::kernel_spectrum`] and pair them with [`Jtc::correlate_spectra`],
+//! which runs stages 3–5 through the same code as [`Jtc::correlate`].
+//!
 //! # Examples
 //!
 //! ```
@@ -37,7 +43,7 @@
 
 use crate::complex::Complex64;
 use crate::components::{Adc, Dac, NonlinearMaterial};
-use crate::fft::{ifft, ifft_real, rfft};
+use crate::fft::{ifft, ifft_real_into, rfft};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -60,6 +66,9 @@ pub enum JtcError {
         /// Samples available on the configured plane.
         available: usize,
     },
+    /// Separate operand spectra were asked of a JTC whose DAC encodes the
+    /// inputs against their joint peak (see [`Jtc::supports_spectra`]).
+    DacEncoded,
 }
 
 impl fmt::Display for JtcError {
@@ -78,6 +87,10 @@ impl fmt::Display for JtcError {
             } => write!(
                 f,
                 "JTC plane too small: needs {required} samples, has {available}"
+            ),
+            JtcError::DacEncoded => write!(
+                f,
+                "DAC-encoded inputs share one normalization; their spectra cannot be split"
             ),
         }
     }
@@ -161,9 +174,7 @@ impl Jtc {
     pub fn correlate(&self, signal: &[f64], kernel: &[f64]) -> Result<JtcOutput, JtcError> {
         let _pass = refocus_obs::span("jtc.correlate");
         refocus_obs::counter("jtc.passes", 1);
-        let (sep, n) = self.geometry(signal, kernel)?;
-        let ls = signal.len();
-        let lk = kernel.len();
+        let geometry = self.geometry(signal, kernel)?;
 
         // Stage 1: compose the joint input plane, quantizing through the DAC
         // if configured. DACs encode normalized values; normalize by the
@@ -175,56 +186,44 @@ impl Jtc {
         let scale = if peak > 0.0 { peak } else { 1.0 };
         let input_plane = {
             let _s = refocus_obs::span("jtc.compose");
-            compose(signal, kernel, sep, n, |v| match &self.dac {
-                Some(dac) => dac.quantize(v / scale) * scale,
-                None => v,
+            compose(signal, kernel, geometry.sep, geometry.n, |v| {
+                match &self.dac {
+                    Some(dac) => dac.quantize(v / scale) * scale,
+                    None => v,
+                }
             })
         };
-        let plane = self.lenses(&input_plane);
-
-        // Stage 5: photodetector readout of the cross term at +sep.
-        // For non-negative inputs the term is real and non-negative;
-        // detection reads its magnitude.
-        let _s = refocus_obs::span("jtc.readout");
-        let full_len = ls + lk - 1;
-        let mut full = Vec::with_capacity(full_len);
-        for lag in -(lk as isize - 1)..=(ls as isize - 1) {
-            let idx = (sep as isize + lag).rem_euclid(n as isize) as usize;
-            full.push(plane[idx].re.max(0.0));
-        }
-
-        // ADC quantization against the observed full-scale.
-        if let Some(adc) = &self.adc {
-            let fs = full.iter().fold(0.0_f64, |m, &v| m.max(v));
-            if fs > 0.0 {
-                for v in full.iter_mut() {
-                    *v = adc.reconstruct(adc.sample(*v, fs), fs);
-                }
-            }
-        }
-
-        Ok(JtcOutput {
-            full,
-            kernel_len: lk,
-            signal_len: ls,
-            plane_size: n,
-        })
+        let mut field = lens1(&input_plane);
+        let (mut intensity, mut plane) = (Vec::new(), Vec::new());
+        Ok(self.detect(&mut field, geometry, &mut intensity, &mut plane))
     }
 
-    /// Checks the inputs and returns the plane geometry `(sep, n)`: the
-    /// offset of the signal from the kernel origin and the plane size.
-    fn geometry(&self, signal: &[f64], kernel: &[f64]) -> Result<(usize, usize), JtcError> {
-        if signal.is_empty() || kernel.is_empty() {
+    /// Whether passes may start from separately built spectra
+    /// ([`Jtc::signal_spectrum`], [`Jtc::kernel_spectrum`],
+    /// [`Jtc::correlate_spectra`]). Lens 1 is linear, so the joint spectrum
+    /// is the sum of the two operands' spectra — unless a DAC encodes the
+    /// inputs: it normalizes by the *joint* peak, which couples them.
+    pub fn supports_spectra(&self) -> bool {
+        self.dac.is_none()
+    }
+
+    /// The plane geometry of a pass correlating a `signal_len`-sample
+    /// signal with a `kernel_len`-sample kernel: auto-sized, or the fixed
+    /// [`Jtc::with_plane_size`] when it is large enough.
+    ///
+    /// # Errors
+    ///
+    /// [`JtcError::EmptyInput`] for a zero length,
+    /// [`JtcError::PlaneTooSmall`] when a fixed plane cannot hold the pass.
+    pub fn plane_geometry(
+        &self,
+        signal_len: usize,
+        kernel_len: usize,
+    ) -> Result<PlaneGeometry, JtcError> {
+        if signal_len == 0 || kernel_len == 0 {
             return Err(JtcError::EmptyInput);
         }
-        if signal.iter().any(|&v| v < 0.0) {
-            return Err(JtcError::NegativeValue { which: "signal" });
-        }
-        if kernel.iter().any(|&v| v < 0.0) {
-            return Err(JtcError::NegativeValue { which: "kernel" });
-        }
-        let ls = signal.len();
-        let lk = kernel.len();
+        let (ls, lk) = (signal_len, kernel_len);
         // Separation between kernel origin and signal origin. With the
         // kernel at 0 and the signal at `sep`, the cross term sits at lags
         // `sep - (lk-1) ..= sep + (ls-1)` of the output autocorrelation,
@@ -245,31 +244,186 @@ impl Jtc {
             Some(size) => size,
             None => required.next_power_of_two(),
         };
-        Ok((sep, n))
+        Ok(PlaneGeometry {
+            signal_len,
+            kernel_len,
+            sep,
+            n,
+        })
     }
 
-    /// Stages 2–4: first lens, Fourier-plane square law, second lens.
-    fn lenses(&self, input_plane: &[f64]) -> Vec<Complex64> {
-        // Stage 2: first lens. The input plane carries optical power — a
-        // real field — so the half-length real-input transform applies.
-        let mut spectrum = {
-            let _s = refocus_obs::span("jtc.lens1.fft");
-            rfft(input_plane)
-        };
+    /// Lens 1 applied to `signal` alone, placed at the separation a pass
+    /// with a `kernel_len`-sample kernel puts it. Build it once and pair it
+    /// with every kernel spectrum of the same geometry.
+    ///
+    /// # Errors
+    ///
+    /// The checks of [`Jtc::correlate`] on the signal and the geometry,
+    /// and [`JtcError::DacEncoded`] when [`Jtc::supports_spectra`] is false.
+    pub fn signal_spectrum(&self, signal: &[f64], kernel_len: usize) -> Result<Spectrum, JtcError> {
+        let geometry = self.plane_geometry(signal.len(), kernel_len)?;
+        self.spectrum(signal, "signal", geometry, geometry.sep)
+    }
+
+    /// Lens 1 applied to `kernel` alone, at the plane origin, for a pass
+    /// with a `signal_len`-sample signal.
+    ///
+    /// # Errors
+    ///
+    /// As [`Jtc::signal_spectrum`], for the kernel.
+    pub fn kernel_spectrum(&self, kernel: &[f64], signal_len: usize) -> Result<Spectrum, JtcError> {
+        let geometry = self.plane_geometry(signal_len, kernel.len())?;
+        self.spectrum(kernel, "kernel", geometry, 0)
+    }
+
+    /// Stage 1–2 for one operand: `values` at `origin` on an otherwise
+    /// dark plane, through lens 1, keeping the `n/2 + 1` non-redundant
+    /// bins of the real field's Hermitian spectrum.
+    fn spectrum(
+        &self,
+        values: &[f64],
+        which: &'static str,
+        geometry: PlaneGeometry,
+        origin: usize,
+    ) -> Result<Spectrum, JtcError> {
+        if !self.supports_spectra() {
+            return Err(JtcError::DacEncoded);
+        }
+        if values.iter().any(|&v| v < 0.0) {
+            return Err(JtcError::NegativeValue { which });
+        }
+        let mut plane = vec![0.0_f64; geometry.n];
+        plane[origin..origin + values.len()].copy_from_slice(values);
+        let mut bins = lens1(&plane);
+        bins.truncate(geometry.n / 2 + 1);
+        bins.shrink_to_fit();
+        Ok(Spectrum {
+            bins,
+            geometry,
+            origin,
+        })
+    }
+
+    /// One optical pass from lens-1 spectra: the joint Fourier-plane field
+    /// is the sum of the two, then the square law, lens 2, readout and ADC
+    /// run exactly as in [`Jtc::correlate`]. Agrees with `correlate` on the
+    /// same operands to rounding (the plane's transform is split in two).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `signal` came from [`Jtc::signal_spectrum`] and
+    /// `kernel` from [`Jtc::kernel_spectrum`] with the same geometry.
+    pub fn correlate_spectra(
+        &self,
+        signal: &Spectrum,
+        kernel: &Spectrum,
+        scratch: &mut JtcScratch,
+    ) -> JtcOutput {
+        let geometry = signal.geometry;
+        assert_eq!(geometry, kernel.geometry, "spectra of different passes");
+        assert!(
+            signal.origin == geometry.sep && kernel.origin == 0,
+            "correlate_spectra takes (signal, kernel) spectra"
+        );
+        let _pass = refocus_obs::span("jtc.correlate");
+        refocus_obs::counter("jtc.passes", 1);
+        let n = geometry.n;
+        let JtcScratch {
+            field,
+            intensity,
+            plane,
+        } = scratch;
+        {
+            // The Fourier-plane field of the joint input; the upper bins
+            // are the conjugate mirror of the lower ones (real input).
+            let _s = refocus_obs::span("jtc.compose");
+            field.clear();
+            field.extend(signal.bins.iter().zip(&kernel.bins).map(|(s, k)| *s + *k));
+            for k in field.len()..n {
+                field.push(field[n - k].conj());
+            }
+        }
+        self.detect(field, geometry, intensity, plane)
+    }
+
+    /// Checks the inputs and returns the plane geometry.
+    fn geometry(&self, signal: &[f64], kernel: &[f64]) -> Result<PlaneGeometry, JtcError> {
+        if signal.is_empty() || kernel.is_empty() {
+            return Err(JtcError::EmptyInput);
+        }
+        if signal.iter().any(|&v| v < 0.0) {
+            return Err(JtcError::NegativeValue { which: "signal" });
+        }
+        if kernel.iter().any(|&v| v < 0.0) {
+            return Err(JtcError::NegativeValue { which: "kernel" });
+        }
+        self.plane_geometry(signal.len(), kernel.len())
+    }
+
+    /// Stages 3–5 from the Fourier-plane field: square law, lens 2 and the
+    /// photodetector readout of the cross term (through the ADC if any).
+    /// The single tail every pass runs, whichever way its field was built.
+    fn detect(
+        &self,
+        field: &mut [Complex64],
+        geometry: PlaneGeometry,
+        intensity: &mut Vec<f64>,
+        plane: &mut Vec<Complex64>,
+    ) -> JtcOutput {
+        self.lens2(field, intensity, plane);
+
+        // Stage 5: photodetector readout of the cross term at +sep.
+        // For non-negative inputs the term is real and non-negative;
+        // detection reads its magnitude.
+        let _s = refocus_obs::span("jtc.readout");
+        let PlaneGeometry {
+            signal_len: ls,
+            kernel_len: lk,
+            sep,
+            n,
+        } = geometry;
+        let full_len = ls + lk - 1;
+        let mut full = Vec::with_capacity(full_len);
+        for lag in -(lk as isize - 1)..=(ls as isize - 1) {
+            let idx = (sep as isize + lag).rem_euclid(n as isize) as usize;
+            full.push(plane[idx].re.max(0.0));
+        }
+
+        // ADC quantization against the observed full-scale.
+        if let Some(adc) = &self.adc {
+            let fs = full.iter().fold(0.0_f64, |m, &v| m.max(v));
+            if fs > 0.0 {
+                for v in full.iter_mut() {
+                    *v = adc.reconstruct(adc.sample(*v, fs), fs);
+                }
+            }
+        }
+
+        JtcOutput {
+            full,
+            kernel_len: lk,
+            signal_len: ls,
+            plane_size: n,
+        }
+    }
+
+    /// Stages 3–4: the Fourier-plane square law on `field`, then the
+    /// second lens into `plane`.
+    fn lens2(&self, field: &mut [Complex64], intensity: &mut Vec<f64>, plane: &mut Vec<Complex64>) {
         // Stage 3: Fourier-plane square-law nonlinearity. Its output is an
         // intensity, i.e. real (`NonlinearMaterial::apply_point` discards
         // phase), which makes the second lens real-input too.
-        let intensity: Vec<f64> = {
+        {
             let _s = refocus_obs::span("jtc.square_law");
-            self.nonlinearity.apply(&mut spectrum);
-            spectrum.iter().map(|v| v.re).collect()
-        };
+            self.nonlinearity.apply(field);
+            intensity.clear();
+            intensity.extend(field.iter().map(|v| v.re));
+        }
         // Stage 4: second lens. The inverse orientation recovers the
         // autocorrelation theorem directly: IFFT(|FFT(f)|^2) = autocorr(f).
-        {
-            let _s = refocus_obs::span("jtc.lens2.ifft");
-            ifft_real(&intensity)
-        }
+        let _s = refocus_obs::span("jtc.lens2.ifft");
+        plane.resize(field.len(), Complex64::ZERO);
+        ifft_real_into(intensity, plane);
     }
 
     /// Performs one optical pass under a device-fault model.
@@ -321,8 +475,10 @@ impl Jtc {
         signal: &[f64],
         kernel: &[f64],
     ) -> Result<(Vec<f64>, usize), JtcError> {
-        let (sep, n) = self.geometry(signal, kernel)?;
-        let plane = self.lenses(&compose(signal, kernel, sep, n, |v| v));
+        let PlaneGeometry { sep, n, .. } = self.geometry(signal, kernel)?;
+        let mut field = lens1(&compose(signal, kernel, sep, n, |v| v));
+        let (mut intensity, mut plane) = (Vec::new(), Vec::new());
+        self.lens2(&mut field, &mut intensity, &mut plane);
         Ok((plane.into_iter().map(|v| v.re.max(0.0)).collect(), sep))
     }
 
@@ -341,14 +497,21 @@ impl Jtc {
         signal: &[f64],
         kernel: &[f64],
     ) -> Result<Vec<f64>, JtcError> {
-        let (sep, n) = self.geometry(signal, kernel)?;
-        let mut plane = rfft(&compose(signal, kernel, sep, n, |v| v));
+        let PlaneGeometry { sep, n, .. } = self.geometry(signal, kernel)?;
+        let mut plane = lens1(&compose(signal, kernel, sep, n, |v| v));
         ifft(&mut plane);
         Ok(plane[sep..sep + signal.len()]
             .iter()
             .map(|v| v.norm())
             .collect())
     }
+}
+
+/// Stage 2: the first lens. The input plane carries optical power — a
+/// real field — so the half-length real-input transform applies.
+fn lens1(input_plane: &[f64]) -> Vec<Complex64> {
+    let _s = refocus_obs::span("jtc.lens1.fft");
+    rfft(input_plane)
 }
 
 /// Stage 1: the joint input plane of `n` samples, kernel at the origin
@@ -368,6 +531,39 @@ fn compose(
         input_plane[sep + i] = encode(v);
     }
     input_plane
+}
+
+/// Where a pass's operands sit on the JTC plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlaneGeometry {
+    /// Signal samples.
+    pub signal_len: usize,
+    /// Kernel samples.
+    pub kernel_len: usize,
+    /// Offset of the signal from the kernel, which sits at the origin.
+    pub sep: usize,
+    /// Plane size in samples.
+    pub n: usize,
+}
+
+/// One operand's field after lens 1 ([`Jtc::signal_spectrum`],
+/// [`Jtc::kernel_spectrum`]): the `n/2 + 1` non-redundant bins.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Spectrum {
+    bins: Vec<Complex64>,
+    geometry: PlaneGeometry,
+    /// Plane offset of the operand: 0 for a kernel, `sep` for a signal.
+    origin: usize,
+}
+
+/// Reusable buffers for [`Jtc::correlate_spectra`]: the Fourier-plane
+/// field, its intensity and the output plane, so a run of passes
+/// allocates them once.
+#[derive(Debug, Clone, Default)]
+pub struct JtcScratch {
+    field: Vec<Complex64>,
+    intensity: Vec<f64>,
+    plane: Vec<Complex64>,
 }
 
 /// The detected output of one JTC pass.
@@ -669,6 +865,104 @@ mod tests {
         assert!(max_abs_diff(&through, &s) < 1e-9);
     }
 
+    /// `correlate_spectra` against `correlate` on the same operands, as a
+    /// share of the output peak.
+    fn spectral_gap(jtc: &Jtc, s: &[f64], k: &[f64]) -> f64 {
+        let direct = jtc.correlate(s, k).unwrap();
+        let sig = jtc.signal_spectrum(s, k.len()).unwrap();
+        let ker = jtc.kernel_spectrum(k, s.len()).unwrap();
+        let split = jtc.correlate_spectra(&sig, &ker, &mut JtcScratch::default());
+        assert_eq!(split.full().len(), direct.full().len());
+        assert_eq!(split.plane_size(), direct.plane_size());
+        let peak = direct.full().iter().fold(0.0_f64, |m, &v| m.max(v));
+        max_abs_diff(split.full(), direct.full()) / peak
+    }
+
+    #[test]
+    fn spectra_reproduce_correlate() {
+        let ideal = Jtc::ideal();
+        // Includes a kernel longer than the signal.
+        for (ls, lk, seed) in [(8usize, 3usize, 1u64), (33, 7, 3), (64, 25, 4), (3, 8, 5)] {
+            let s = pseudo_random(ls, seed);
+            let k = pseudo_random(lk, seed + 100);
+            let gap = spectral_gap(&ideal, &s, &k);
+            assert!(gap < 1e-12, "ls={ls} lk={lk}: gap {gap}");
+        }
+    }
+
+    #[test]
+    fn spectra_compose_with_fixed_planes_adc_and_saturation() {
+        let s = pseudo_random(8, 1);
+        let k = pseudo_random(3, 2);
+        // Power-of-two, even and odd fixed planes (the last two through
+        // the Bluestein transform).
+        for size in [64, 48, 75] {
+            let jtc = Jtc::ideal().with_plane_size(size);
+            assert_eq!(jtc.plane_geometry(8, 3).unwrap().n, size);
+            let gap = spectral_gap(&jtc, &s, &k);
+            assert!(gap < 1e-12, "plane {size}: gap {gap}");
+        }
+        let jtc = Jtc::ideal()
+            .with_adc(Some(Adc::new()))
+            .with_nonlinearity(NonlinearMaterial::saturating(4));
+        assert!(jtc.supports_spectra());
+        let gap = spectral_gap(&jtc, &pseudo_random(16, 3), &k);
+        assert!(gap < 1e-12, "ADC + saturation: gap {gap}");
+    }
+
+    #[test]
+    fn spectra_check_inputs_like_correlate() {
+        let jtc = Jtc::ideal();
+        assert_eq!(
+            jtc.signal_spectrum(&[1.0, -0.5], 1),
+            Err(JtcError::NegativeValue { which: "signal" })
+        );
+        assert_eq!(
+            jtc.kernel_spectrum(&[-1.0], 2),
+            Err(JtcError::NegativeValue { which: "kernel" })
+        );
+        assert_eq!(jtc.signal_spectrum(&[], 3), Err(JtcError::EmptyInput));
+        assert_eq!(jtc.kernel_spectrum(&[1.0], 0), Err(JtcError::EmptyInput));
+        let small = Jtc::ideal().with_plane_size(16);
+        let s = pseudo_random(8, 1);
+        let k = pseudo_random(3, 2);
+        let want = small.correlate(&s, &k).unwrap_err();
+        assert!(matches!(
+            want,
+            JtcError::PlaneTooSmall { available: 16, .. }
+        ));
+        assert_eq!(small.signal_spectrum(&s, 3), Err(want.clone()));
+        assert_eq!(small.kernel_spectrum(&k, 8), Err(want));
+        // A DAC couples the operands through their joint peak.
+        let quantized = Jtc::quantized();
+        assert!(!quantized.supports_spectra());
+        assert_eq!(quantized.signal_spectrum(&s, 3), Err(JtcError::DacEncoded));
+        assert_eq!(quantized.kernel_spectrum(&k, 8), Err(JtcError::DacEncoded));
+    }
+
+    #[test]
+    fn one_signal_spectrum_serves_many_kernels() {
+        let jtc = Jtc::ideal();
+        let s = pseudo_random(24, 7);
+        let sig = jtc.signal_spectrum(&s, 5).unwrap();
+        let mut scratch = JtcScratch::default();
+        for seed in 0..4 {
+            let k = pseudo_random(5, 200 + seed);
+            let ker = jtc.kernel_spectrum(&k, 24).unwrap();
+            let out = jtc.correlate_spectra(&sig, &ker, &mut scratch);
+            assert!(max_abs_diff(out.valid(), &correlate_valid(&s, &k)) < 1e-9);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "spectra of different passes")]
+    fn spectra_of_different_geometries_do_not_mix() {
+        let jtc = Jtc::ideal();
+        let sig = jtc.signal_spectrum(&pseudo_random(24, 7), 5).unwrap();
+        let ker = jtc.kernel_spectrum(&pseudo_random(5, 8), 12).unwrap();
+        jtc.correlate_spectra(&sig, &ker, &mut JtcScratch::default());
+    }
+
     #[test]
     fn error_display_messages() {
         assert!(JtcError::EmptyInput.to_string().contains("non-empty"));
@@ -681,5 +975,6 @@ mod tests {
         }
         .to_string()
         .contains("64"));
+        assert!(JtcError::DacEncoded.to_string().contains("DAC"));
     }
 }
