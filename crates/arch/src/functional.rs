@@ -4,19 +4,19 @@
 //! thing; this module proves it. [`OpticalExecutor`] runs a convolution
 //! layer exactly the way the architecture does — pseudo-negative filter
 //! split, row tiling onto the JTC plane, one optical pass per
-//! (chunk, channel, filter, half), channel accumulation, digital recombine
-//! — with every 1-D pass going through the *field-level* JTC model of
-//! [`refocus_photonics::jtc`], optionally with 8-bit converters and
+//! (chunk, channel, filter, half), channel accumulation, pseudo-negative
+//! recombination — with every 1-D pass going through the *field-level*
+//! JTC model of [`refocus_photonics::jtc`], optionally with 8-bit converters and
 //! feedback-buffer attenuation + weight rescaling (§4.1.1).
 
 use crate::config::AcceleratorConfig;
 use refocus_nn::conv::ConvError;
 use refocus_nn::quant::PseudoNegativeSplit;
 use refocus_nn::tensor::{Tensor3, Tensor4};
-use refocus_nn::tiling::{tiled_passes, TiledPasses, TilingError, TilingMode};
+use refocus_nn::tiling::{tiled_passes, TiledPass, TiledPasses, TilingError, TilingMode};
 use refocus_photonics::buffer::FeedbackBuffer;
 use refocus_photonics::faults::FaultInjector;
-use refocus_photonics::jtc::{Jtc, JtcScratch, Spectrum};
+use refocus_photonics::jtc::{Jtc, JtcScratch, Polarity, Spectrum};
 use std::fmt;
 use std::ops::Range;
 
@@ -149,11 +149,12 @@ impl OpticalExecutor {
     /// [`refocus_nn::conv::conv2d`]) entirely through optical passes.
     ///
     /// Passes follow [`tiled_passes`], which on row-partitioned layers
-    /// computes only the output rows the stride keeps. Without a DAC and
-    /// without a live fault model, passes start from lens-1 spectra built
-    /// once per signal or kernel tile ([`Jtc::correlate_spectra`]);
-    /// otherwise each pass runs [`Jtc::correlate`] or
-    /// [`Jtc::correlate_with_faults`].
+    /// computes only the output rows the stride keeps. Without a DAC or
+    /// an ADC and without a live fault model, passes start from lens-1
+    /// spectra built once per signal or kernel tile, and all passes that
+    /// share an output row and a plane geometry share one readout
+    /// ([`Jtc::accumulate`], [`Jtc::read_accumulated`]); otherwise each
+    /// pass runs [`Jtc::correlate`] or [`Jtc::correlate_with_faults`].
     ///
     /// Output channels execute in parallel on the [`refocus_par`] pool.
     /// Results are bit-identical at every thread count: each channel
@@ -268,9 +269,10 @@ impl OpticalExecutor {
         let channel_rows: Vec<Vec<Vec<f64>>> = (0..input.channels())
             .map(|i| padded.channel_rows(i).iter().map(|r| r.to_vec()).collect())
             .collect();
-        // The route rule: lens-1 spectra are reusable unless a DAC couples
-        // the operands or a live fault model perturbs each pass.
-        let spectral = jtc.supports_spectra() && faults.is_none_or(FaultInjector::is_transparent);
+        // The route rule: passes share a readout unless a DAC or ADC
+        // quantizes each one or a live fault model perturbs each one.
+        let accumulated =
+            jtc.supports_accumulation() && faults.is_none_or(FaultInjector::is_transparent);
 
         let channels: Vec<usize> = (0..weights.out_channels()).collect();
         let results: Vec<Result<(Vec<f64>, u64), FunctionalError>> =
@@ -278,43 +280,20 @@ impl OpticalExecutor {
                 // One span per output-channel worker: this is the unit the
                 // row-tiling fan-out distributes over pool threads.
                 let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
-                let mut worker_faults = faults.map(|f| f.for_work_item(epoch, o as u64));
-                let mut scratch = JtcScratch::default();
-                let mut local_passes = 0u64;
-                // Accumulate positive and negative halves over channels.
-                let mut pos = plan.zeros();
-                let mut neg = plan.zeros();
-                for (i, rows) in channel_rows.iter().enumerate() {
-                    let halves = [split.positive.kernel(o, i), split.negative.kernel(o, i)];
-                    let accs = [&mut pos, &mut neg];
-                    if spectral {
-                        local_passes += 2 * plan.passes.len() as u64;
-                        spectral_halves(jtc, &plan, rows, &halves, accs, &mut scratch);
-                        continue;
-                    }
-                    for (half, acc) in halves.iter().zip(accs) {
-                        plan.run(
-                            rows,
-                            half,
-                            |s, k| {
-                                local_passes += 1;
-                                let out = match worker_faults.as_mut() {
-                                    Some(fi) => jtc.correlate_with_faults(s, k, fi),
-                                    None => jtc.correlate(s, k),
-                                }
-                                .expect(VALID_OPERANDS);
-                                out.valid().to_vec()
-                            },
-                            |r, values| add_row(&mut acc[r], values),
-                        );
-                    }
-                }
-                // Digital recombination + stride subsampling.
+                let halves: Vec<[Vec<Vec<f64>>; 2]> = (0..channel_rows.len())
+                    .map(|i| [split.positive.kernel(o, i), split.negative.kernel(o, i)])
+                    .collect();
+                let (rows, local_passes) = if accumulated {
+                    accumulated_channel(jtc, &plan, &channel_rows, &halves)
+                } else {
+                    let mut worker_faults = faults.map(|f| f.for_work_item(epoch, o as u64));
+                    direct_channel(jtc, &plan, &channel_rows, &halves, worker_faults.as_mut())
+                };
+                // Stride subsampling.
                 let mut flat = vec![0.0; out_h * out_w];
                 for oy in 0..out_h {
                     for ox in 0..out_w {
-                        flat[oy * out_w + ox] =
-                            pos[oy * stride][ox * stride] - neg[oy * stride][ox * stride];
+                        flat[oy * out_w + ox] = rows[oy * stride][ox * stride];
                     }
                 }
                 // JTC→executor firewall: a poisoned optical pass must
@@ -444,64 +423,142 @@ fn add_row(acc: &mut [f64], values: &[f64]) {
     }
 }
 
-/// Both pseudo-negative halves of one (output, input) channel pair on the
-/// spectral route, added into `accs`: each signal tile goes through lens 1
-/// once and serves both halves and every pass that reads it; each kernel
-/// tile goes through lens 1 once per geometry. A signal spectrum lives
-/// only while a later pass may read it — tiles starting at or below the
-/// current pass's output row, at most `2k` of them when row-partitioned
-/// (`k` when one row fits a pass).
-fn spectral_halves(
+/// One output channel on the direct route: every pass through
+/// [`Jtc::correlate`] or [`Jtc::correlate_with_faults`], each half summed
+/// over input channels in pass-list order, then recombined digitally as
+/// `positive − negative`. Returns the stride-1 output rows and the passes.
+fn direct_channel(
     jtc: &Jtc,
     plan: &TiledPasses,
-    rows: &[Vec<f64>],
-    halves: &[Vec<Vec<f64>>; 2],
-    accs: [&mut Vec<Vec<f64>>; 2],
-    scratch: &mut JtcScratch,
-) {
-    // Keyed by tile rows and the other operand's length, which with the
-    // tile's own length fixes the plane geometry.
-    let mut signals: Vec<(Range<usize>, usize, Spectrum)> = Vec::new();
-    let mut kernels: [Vec<(Range<usize>, usize, Spectrum)>; 2] = Default::default();
-    let mut partial_rows: [Vec<f64>; 2] = Default::default();
-    for pass in &plan.passes {
-        let (ls, lk) = (plan.signal_len(pass), plan.kernel_len(pass));
-        signals.retain(|(tile, _, _)| tile.start >= pass.out_row);
-        let signal = match signals
-            .iter()
-            .position(|(tile, len, _)| *tile == pass.signal_rows && *len == lk)
-        {
-            Some(at) => at,
-            None => {
-                let spectrum = jtc
-                    .signal_spectrum(&plan.signal(rows, pass), lk)
+    channel_rows: &[Vec<Vec<f64>>],
+    halves: &[[Vec<Vec<f64>>; 2]],
+    mut faults: Option<&mut FaultInjector>,
+) -> (Vec<Vec<f64>>, u64) {
+    let mut passes = 0u64;
+    let mut pos = plan.zeros();
+    let mut neg = plan.zeros();
+    for (rows, halves) in channel_rows.iter().zip(halves) {
+        for (half, acc) in halves.iter().zip([&mut pos, &mut neg]) {
+            plan.run(
+                rows,
+                half,
+                |s, k| {
+                    passes += 1;
+                    let out = match faults.as_deref_mut() {
+                        Some(fi) => jtc.correlate_with_faults(s, k, fi),
+                        None => jtc.correlate(s, k),
+                    }
                     .expect(VALID_OPERANDS);
-                signals.push((pass.signal_rows.clone(), lk, spectrum));
-                signals.len() - 1
-            }
-        };
-        for (h, half) in halves.iter().enumerate() {
-            let cache = &mut kernels[h];
-            let kernel = match cache
-                .iter()
-                .position(|(tile, len, _)| *tile == pass.kernel_rows && *len == ls)
-            {
-                Some(at) => at,
-                None => {
-                    let spectrum = jtc
-                        .kernel_spectrum(&plan.kernel(half, pass), ls)
-                        .expect(VALID_OPERANDS);
-                    cache.push((pass.kernel_rows.clone(), ls, spectrum));
-                    cache.len() - 1
-                }
-            };
-            let out = jtc.correlate_spectra(&signals[signal].2, &cache[kernel].2, scratch);
-            let acc = &mut *accs[h];
-            plan.fold(pass, out.valid(), &mut partial_rows[h], |r, values| {
-                add_row(&mut acc[r], values)
-            });
+                    out.valid().to_vec()
+                },
+                |r, values| add_row(&mut acc[r], values),
+            );
         }
     }
+    for (p, n) in pos.iter_mut().zip(&neg) {
+        for (p, n) in p.iter_mut().zip(n) {
+            *p -= n;
+        }
+    }
+    (pos, passes)
+}
+
+/// The passes that share one readout on the accumulated route: runs of
+/// one output row and one plane geometry (signal and kernel lengths). A
+/// row-partitioned row has one group per sub-pass size; a multi-row pass
+/// is a group of its own. Groups follow the pass list's order.
+fn readout_groups(plan: &TiledPasses) -> impl Iterator<Item = &[TiledPass]> {
+    plan.passes.chunk_by(|a, b| {
+        a.out_row == b.out_row
+            && plan.signal_len(a) == plan.signal_len(b)
+            && plan.kernel_len(a) == plan.kernel_len(b)
+    })
+}
+
+/// A cached lens-1 spectrum, keyed by the tile's rows and the other
+/// operand's length, which with the tile's own length fix the geometry.
+type Cached = (Range<usize>, usize, Spectrum);
+
+/// The index of the spectrum keyed `(rows, len)` in `cache`, built by
+/// `build` and appended on a miss.
+fn cached(
+    cache: &mut Vec<Cached>,
+    rows: &Range<usize>,
+    len: usize,
+    build: impl FnOnce() -> Spectrum,
+) -> usize {
+    match cache.iter().position(|(r, l, _)| r == rows && *l == len) {
+        Some(at) => at,
+        None => {
+            cache.push((rows.clone(), len, build()));
+            cache.len() - 1
+        }
+    }
+}
+
+/// One output channel on the accumulated route. For each readout group
+/// the signed Fourier-plane intensities of all its passes — every input
+/// channel, both pseudo-negative halves, every sub-pass — go into one
+/// accumulator in a fixed order, then lens 2 and the readout run once
+/// (one `jtc.correlate` span per group, covering the spectrum builds).
+///
+/// Each signal-tile spectrum is built once per input channel and serves
+/// both halves and every group reading that tile; it is dropped once the
+/// groups move past its rows (at most `2k` live per channel, `k` when one
+/// row fits a pass). Each kernel spectrum is built once per (input
+/// channel, half, kernel rows, geometry). Returns the stride-1 output rows
+/// and the passes.
+fn accumulated_channel(
+    jtc: &Jtc,
+    plan: &TiledPasses,
+    channel_rows: &[Vec<Vec<f64>>],
+    halves: &[[Vec<Vec<f64>>; 2]],
+) -> (Vec<Vec<f64>>, u64) {
+    let mut signals: Vec<Vec<Cached>> = vec![Vec::new(); channel_rows.len()];
+    let mut kernels: Vec<[Vec<Cached>; 2]> = vec![Default::default(); channel_rows.len()];
+    let mut acc = JtcScratch::default();
+    let mut passes = 0u64;
+    let mut out = plan.zeros();
+    for group in readout_groups(plan) {
+        let _readout = refocus_obs::span("jtc.correlate");
+        let first = &group[0];
+        for (i, rows) in channel_rows.iter().enumerate() {
+            let signals = &mut signals[i];
+            signals.retain(|(tile, _, _)| tile.start >= first.out_row);
+            for pass in group {
+                let (ls, lk) = (plan.signal_len(pass), plan.kernel_len(pass));
+                let signal = cached(signals, &pass.signal_rows, lk, || {
+                    jtc.signal_spectrum(&plan.signal(rows, pass), lk)
+                        .expect(VALID_OPERANDS)
+                });
+                for ((half, cache), polarity) in halves[i]
+                    .iter()
+                    .zip(&mut kernels[i])
+                    .zip([Polarity::Positive, Polarity::Negative])
+                {
+                    let kernel = cached(cache, &pass.kernel_rows, ls, || {
+                        jtc.kernel_spectrum(&plan.kernel(half, pass), ls)
+                            .expect(VALID_OPERANDS)
+                    });
+                    jtc.accumulate(&signals[signal].2, &cache[kernel].2, polarity, &mut acc)
+                        .expect("the route rule admits only accumulating JTCs");
+                    passes += 1;
+                }
+            }
+        }
+        let readout = jtc.read_accumulated(&mut acc);
+        let valid = readout.valid();
+        if first.partial {
+            // One output row, summed over its sub-pass groups.
+            add_row(&mut out[first.out_row], valid);
+        } else {
+            for r in 0..first.out_rows {
+                let base = r * plan.row_len;
+                out[first.out_row + r].copy_from_slice(&valid[base..base + plan.out_w]);
+            }
+        }
+    }
+    (out, passes)
 }
 
 #[cfg(test)]
@@ -722,23 +779,28 @@ mod tests {
         }
     }
 
-    /// The direct route by hand: every pass through `Jtc::correlate` via
-    /// `tiled_conv2d_with`, halves accumulated over input channels.
-    fn per_pass_reference(input: &Tensor3, weights: &Tensor4, padding: usize) -> Tensor3 {
-        let jtc = Jtc::ideal();
+    /// The direct route by hand: every pass through `jtc.correlate` via
+    /// `tiled_conv2d_with`, each half accumulated over input channels in
+    /// the executor's order, then `positive − negative`.
+    fn per_pass_reference(
+        jtc: &Jtc,
+        input: &Tensor3,
+        weights: &Tensor4,
+        padding: usize,
+    ) -> Tensor3 {
         let tile = AcceleratorConfig::refocus_ff().tile;
         let split = PseudoNegativeSplit::of(weights);
         let padded = input.pad_spatial(padding);
         let mut out: Option<Tensor3> = None;
         for o in 0..weights.out_channels() {
-            let mut acc: Option<Vec<Vec<f64>>> = None;
+            let mut halves: [Option<Vec<Vec<f64>>>; 2] = [None, None];
             for i in 0..input.channels() {
                 let rows: Vec<Vec<f64>> =
                     padded.channel_rows(i).iter().map(|r| r.to_vec()).collect();
-                for (sign, half) in [
-                    (1.0, split.positive.kernel(o, i)),
-                    (-1.0, split.negative.kernel(o, i)),
-                ] {
+                for (acc, half) in halves
+                    .iter_mut()
+                    .zip([split.positive.kernel(o, i), split.negative.kernel(o, i)])
+                {
                     let partial = refocus_nn::tiling::tiled_conv2d_with(
                         &rows,
                         &half,
@@ -755,19 +817,19 @@ mod tests {
                     let acc =
                         acc.get_or_insert_with(|| vec![vec![0.0; partial[0].len()]; partial.len()]);
                     for (ar, pr) in acc.iter_mut().zip(&partial) {
-                        for (a, p) in ar.iter_mut().zip(pr) {
-                            *a += sign * p;
-                        }
+                        add_row(ar, pr);
                     }
                 }
             }
-            let acc = acc.expect("at least one input channel");
+            let [Some(pos), Some(neg)] = halves else {
+                panic!("at least one input channel")
+            };
             let out = out.get_or_insert_with(|| {
-                Tensor3::zeros(weights.out_channels(), acc.len(), acc[0].len())
+                Tensor3::zeros(weights.out_channels(), pos.len(), pos[0].len())
             });
-            for (y, row) in acc.iter().enumerate() {
-                for (x, v) in row.iter().enumerate() {
-                    out.set(o, y, x, *v);
+            for (y, (p, n)) in pos.iter().zip(&neg).enumerate() {
+                for (x, (p, n)) in p.iter().zip(n).enumerate() {
+                    out.set(o, y, x, p - n);
                 }
             }
         }
@@ -776,22 +838,73 @@ mod tests {
 
     #[test]
     fn spectral_route_matches_per_pass_correlation() {
-        // A row-partitioned and a multi-row shape, with and without padding.
-        for (h, w, padding, seed) in [
-            (6, 112, 0, 40),
-            (6, 112, 1, 42),
-            (10, 10, 0, 44),
-            (10, 10, 1, 46),
+        // Row-partitioned shapes (k = 3 in a 2-row and a 1-row sub-pass,
+        // k = 11 in eleven 1-row sub-passes) and multi-row ones (the last
+        // 30x10 pass is shorter, a geometry of its own), with and without
+        // padding, over 1, 2 and 5 input channels, and a filter whose
+        // weights are all <= 0, so every output is negative.
+        for (c_in, h, w, k, padding, (lo, hi), seed) in [
+            (2, 6, 112, 3, 0, (-1.0, 1.0), 40),
+            (2, 6, 112, 3, 1, (-1.0, 1.0), 42),
+            (2, 10, 10, 3, 0, (-1.0, 1.0), 44),
+            (2, 10, 10, 3, 1, (-1.0, 1.0), 46),
+            (2, 12, 120, 11, 0, (-1.0, 1.0), 48),
+            (2, 30, 10, 3, 0, (-1.0, 1.0), 50),
+            (1, 6, 112, 3, 1, (-1.0, 1.0), 52),
+            (5, 10, 10, 3, 1, (-1.0, 1.0), 54),
+            (5, 6, 112, 3, 1, (-1.0, 1.0), 56),
+            (2, 6, 112, 3, 1, (-1.0, 0.0), 58),
+            (2, 10, 10, 3, 1, (-1.0, 0.0), 60),
         ] {
-            let input = Tensor3::random(2, h, w, 0.0, 1.0, seed);
-            let weights = Tensor4::random(2, 2, 3, 3, -1.0, 1.0, seed + 1);
+            let input = Tensor3::random(c_in, h, w, 0.0, 1.0, seed);
+            let weights = Tensor4::random(2, c_in, k, k, lo, hi, seed + 1);
             let optical = OpticalExecutor::ideal()
                 .conv2d(&input, &weights, 1, padding)
                 .expect("optical conv runs");
-            let reference = per_pass_reference(&input, &weights, padding);
+            let reference = per_pass_reference(&Jtc::ideal(), &input, &weights, padding);
             assert_eq!(optical.shape(), reference.shape());
+            if hi <= 0.0 {
+                assert!(reference.data().iter().all(|&v| v < 0.0));
+            }
             let gap = max_diff(&optical, &reference) / reference.max_abs();
-            assert!(gap < 1e-12, "{h}x{w} p={padding}: relative gap {gap}");
+            assert!(
+                gap < 1e-12,
+                "{c_in}x{h}x{w} k{k} p{padding}: relative gap {gap}"
+            );
+        }
+    }
+
+    #[test]
+    fn readout_groups_share_a_row_and_a_geometry() {
+        let tile = AcceleratorConfig::refocus_ff().tile;
+        let groups = |hw, k| {
+            let plan = tiled_passes(hw, (k, k), tile, TilingMode::Exact, 1).expect("tiles");
+            readout_groups(&plan)
+                .map(|g| (g[0].out_row, g.len()))
+                .collect::<Vec<_>>()
+        };
+        // 114-sample rows: a 2-row and a 1-row sub-pass per output row.
+        assert_eq!(groups((4, 112), 3), [(0, 1), (0, 1), (1, 1), (1, 1)]);
+        // 130-sample rows: eleven 1-row sub-passes of one geometry.
+        assert_eq!(groups((12, 120), 11), [(0, 11), (1, 11)]);
+        // 12-sample rows: 21-row passes, then a shorter last one.
+        assert_eq!(groups((30, 10), 3), [(0, 1), (19, 1)]);
+    }
+
+    #[test]
+    fn an_adc_takes_the_direct_route_bit_for_bit() {
+        use refocus_photonics::components::Adc;
+        let jtc = Jtc::ideal().with_adc(Some(Adc::new()));
+        let exec = OpticalExecutor::new(&AcceleratorConfig::refocus_ff(), jtc.clone());
+        for (h, w, padding, seed) in [(6, 112, 1, 70), (10, 10, 1, 72)] {
+            let input = Tensor3::random(2, h, w, 0.0, 1.0, seed);
+            let weights = Tensor4::random(2, 2, 3, 3, -1.0, 1.0, seed + 1);
+            let optical = exec
+                .conv2d(&input, &weights, 1, padding)
+                .expect("optical conv runs");
+            let reference = per_pass_reference(&jtc, &input, &weights, padding);
+            let bits = |t: &Tensor3| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&optical), bits(&reference), "{h}x{w}");
         }
     }
 

@@ -150,9 +150,10 @@ fn disabled_instrumentation_records_nothing() {
     assert_eq!(obs.to_chrome_trace().trim(), "[]");
 }
 
-/// The ideal executor's spectral route still opens one `jtc.correlate`
-/// span and counts one `jtc.passes` per optical pass, so per-pass metrics
-/// agree with the executor's own count.
+/// The ideal executor's accumulated route counts one `jtc.passes` per
+/// optical pass, so per-pass metrics agree with the executor's own count,
+/// and opens one `jtc.correlate` span per readout: per output channel,
+/// output row and sub-pass geometry.
 #[test]
 fn spectral_route_counts_every_pass() {
     use refocus_arch::functional::OpticalExecutor;
@@ -168,11 +169,13 @@ fn spectral_route_counts_every_pass() {
     let obs = collector.finish();
 
     let passes = exec.passes();
-    assert!(passes > 0);
+    assert_eq!(passes, 128);
     assert_eq!(obs.counter("jtc.passes"), passes);
     assert_eq!(obs.counter("conv2d.optical_passes"), passes);
+    // 2 output channels × 8 rows × 2 sub-pass geometries (2 rows, 1 row).
     let correlate = obs.span("jtc.correlate").expect("jtc.correlate spans");
-    assert_eq!(correlate.count, passes);
+    assert_eq!(correlate.count, 32);
+    assert_eq!(obs.counter("jtc.readouts"), correlate.count);
     // Lens 1 ran once per spectrum, fewer times than there were passes.
     let lens1 = obs.span("jtc.lens1.fft").expect("spectrum builds");
     assert!(

@@ -111,21 +111,43 @@ pub fn conv2d(
             kernel: (kh, kw),
         })?;
 
+    // Every output sums its taps in (channel, ky, kx) order from zero,
+    // halo taps included as `0.0 · w`; `LANES` neighbouring outputs of a
+    // row advance through the taps together.
+    const LANES: usize = 8;
+    let padded = input.pad_spatial(padding);
+    let (ph, pw) = (padded.height(), padded.width());
     let mut out = Tensor3::zeros(weights.out_channels(), out_h, out_w);
     for o in 0..weights.out_channels() {
         for oy in 0..out_h {
-            for ox in 0..out_w {
-                let mut acc = 0.0;
+            for ox0 in (0..out_w).step_by(LANES) {
+                let lanes = (out_w - ox0).min(LANES);
+                let mut acc = [0.0_f64; LANES];
                 for i in 0..input.channels() {
                     for ky in 0..kh {
+                        let row = (i * ph + oy * stride + ky) * pw;
+                        let row = &padded.data()[row..row + pw];
                         for kx in 0..kw {
-                            let y = (oy * stride + ky) as isize - padding as isize;
-                            let x = (ox * stride + kx) as isize - padding as isize;
-                            acc += input.get_padded(i, y, x) * weights.get(o, i, ky, kx);
+                            let w = weights.get(o, i, ky, kx);
+                            let taps = &row[ox0 * stride + kx..];
+                            if lanes == LANES {
+                                let taps = &taps[..(LANES - 1) * stride + 1];
+                                for (j, a) in acc.iter_mut().enumerate() {
+                                    *a += taps[j * stride] * w;
+                                }
+                            } else {
+                                for (a, v) in
+                                    acc[..lanes].iter_mut().zip(taps.iter().step_by(stride))
+                                {
+                                    *a += v * w;
+                                }
+                            }
                         }
                     }
                 }
-                out.set(o, oy, ox, acc);
+                for (j, a) in acc[..lanes].iter().enumerate() {
+                    out.set(o, oy, ox0 + j, *a);
+                }
             }
         }
     }
@@ -433,6 +455,59 @@ mod tests {
     fn macs_count_section_2_2_example() {
         // §2.2: GPU needs 9216 MACs for a 32x32 input, 3x3 kernel, 1 channel.
         assert_eq!(conv_macs(1, 1, 3, 32, 32), 9216);
+    }
+
+    /// The direct definition: one output at a time, every tap through
+    /// `get_padded`, summed in (channel, ky, kx) order.
+    fn naive_conv2d(input: &Tensor3, weights: &Tensor4, stride: usize, padding: usize) -> Tensor3 {
+        let (kh, kw) = (weights.kernel_h(), weights.kernel_w());
+        let out_h = conv_output_size(input.height(), kh, stride, padding).unwrap();
+        let out_w = conv_output_size(input.width(), kw, stride, padding).unwrap();
+        let mut out = Tensor3::zeros(weights.out_channels(), out_h, out_w);
+        for o in 0..weights.out_channels() {
+            for oy in 0..out_h {
+                for ox in 0..out_w {
+                    let mut acc = 0.0;
+                    for i in 0..input.channels() {
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let y = (oy * stride + ky) as isize - padding as isize;
+                                let x = (ox * stride + kx) as isize - padding as isize;
+                                acc += input.get_padded(i, y, x) * weights.get(o, i, ky, kx);
+                            }
+                        }
+                    }
+                    out.set(o, oy, ox, acc);
+                }
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn conv2d_is_the_naive_sum_bit_for_bit(
+            c in 1usize..4,
+            o in 1usize..3,
+            h in 1usize..14,
+            w in 1usize..30,
+            kh in 1usize..6,
+            kw in 1usize..6,
+            stride in 1usize..5,
+            padding in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            proptest::prop_assume!(kh <= h + 2 * padding && kw <= w + 2 * padding);
+            let input = Tensor3::random(c, h, w, 0.0, 1.0, seed);
+            let weights = Tensor4::random(o, c, kh, kw, -1.0, 1.0, seed + 1);
+            let fast = conv2d(&input, &weights, stride, padding).unwrap();
+            let naive = naive_conv2d(&input, &weights, stride, padding);
+            proptest::prop_assert_eq!(fast.shape(), naive.shape());
+            let bits = |t: &Tensor3| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&fast), bits(&naive));
+        }
     }
 
     #[test]

@@ -23,6 +23,13 @@
 //! [`Jtc::kernel_spectrum`] and pair them with [`Jtc::correlate_spectra`],
 //! which runs stages 3–5 through the same code as [`Jtc::correlate`].
 //!
+//! Everything after the square law is linear too, so without a DAC or an
+//! ADC several passes of one plane geometry may share a readout:
+//! [`Jtc::accumulate`] adds each pass's Fourier-plane intensity, signed
+//! by its pseudo-negative [`Polarity`], into a [`JtcScratch`], and
+//! [`Jtc::read_accumulated`] runs lens 2 and the readout once for the sum.
+//! [`Jtc::correlate_spectra`] is the one-pass case.
+//!
 //! # Examples
 //!
 //! ```
@@ -69,6 +76,9 @@ pub enum JtcError {
     /// Separate operand spectra were asked of a JTC whose DAC encodes the
     /// inputs against their joint peak (see [`Jtc::supports_spectra`]).
     DacEncoded,
+    /// Fourier-plane accumulation was asked of a JTC whose DAC or ADC
+    /// quantizes each pass on its own (see [`Jtc::supports_accumulation`]).
+    Quantized,
 }
 
 impl fmt::Display for JtcError {
@@ -91,6 +101,10 @@ impl fmt::Display for JtcError {
             JtcError::DacEncoded => write!(
                 f,
                 "DAC-encoded inputs share one normalization; their spectra cannot be split"
+            ),
+            JtcError::Quantized => write!(
+                f,
+                "a DAC or ADC quantizes every pass; their intensities cannot share a readout"
             ),
         }
     }
@@ -195,7 +209,8 @@ impl Jtc {
         };
         let mut field = lens1(&input_plane);
         let (mut intensity, mut plane) = (Vec::new(), Vec::new());
-        Ok(self.detect(&mut field, geometry, &mut intensity, &mut plane))
+        self.square_law(&mut field, &mut intensity);
+        Ok(self.read_plane(&intensity, geometry, &mut plane, true))
     }
 
     /// Whether passes may start from separately built spectra
@@ -205,6 +220,13 @@ impl Jtc {
     /// inputs: it normalizes by the *joint* peak, which couples them.
     pub fn supports_spectra(&self) -> bool {
         self.dac.is_none()
+    }
+
+    /// Whether passes may share a readout ([`Jtc::accumulate`],
+    /// [`Jtc::read_accumulated`]): on top of [`Jtc::supports_spectra`],
+    /// no ADC, which quantizes each pass against its own full scale.
+    pub fn supports_accumulation(&self) -> bool {
+        self.supports_spectra() && self.adc.is_none()
     }
 
     /// The plane geometry of a pass correlating a `signal_len`-sample
@@ -308,42 +330,130 @@ impl Jtc {
     /// is the sum of the two, then the square law, lens 2, readout and ADC
     /// run exactly as in [`Jtc::correlate`]. Agrees with `correlate` on the
     /// same operands to rounding (the plane's transform is split in two).
+    /// This is [`Jtc::accumulate`] of one pass followed by its readout,
+    /// which for a single pass clamps at zero and applies the ADC.
     ///
     /// # Panics
     ///
     /// Panics unless `signal` came from [`Jtc::signal_spectrum`] and
-    /// `kernel` from [`Jtc::kernel_spectrum`] with the same geometry.
+    /// `kernel` from [`Jtc::kernel_spectrum`] with the same geometry, or
+    /// if `scratch` holds accumulated passes not yet read out.
     pub fn correlate_spectra(
         &self,
         signal: &Spectrum,
         kernel: &Spectrum,
         scratch: &mut JtcScratch,
     ) -> JtcOutput {
+        assert!(
+            scratch.geometry.is_none(),
+            "correlate_spectra on an accumulator holding unread passes"
+        );
+        let _pass = refocus_obs::span("jtc.correlate");
+        self.add_pass(signal, kernel, Polarity::Positive, scratch);
+        self.read(scratch, true)
+    }
+
+    /// Adds one pass's Fourier-plane intensity `|S + K|²` into `acc`,
+    /// with the sign of `polarity`, without reading it out. Passes added
+    /// since the last [`Jtc::read_accumulated`] must share one plane
+    /// geometry; their readout is the signed sum of their correlations.
+    /// Counts one `jtc.passes`.
+    ///
+    /// # Errors
+    ///
+    /// [`JtcError::Quantized`] when [`Jtc::supports_accumulation`] is
+    /// false: a DAC or ADC quantizes each pass separately.
+    ///
+    /// # Panics
+    ///
+    /// As [`Jtc::correlate_spectra`], and if the pass's geometry differs
+    /// from that of the passes already in `acc`.
+    pub fn accumulate(
+        &self,
+        signal: &Spectrum,
+        kernel: &Spectrum,
+        polarity: Polarity,
+        acc: &mut JtcScratch,
+    ) -> Result<(), JtcError> {
+        if !self.supports_accumulation() {
+            return Err(JtcError::Quantized);
+        }
+        self.add_pass(signal, kernel, polarity, acc);
+        Ok(())
+    }
+
+    /// Lens 2 and the readout of every pass accumulated in `acc`, once:
+    /// the signed sum of their cross terms, not clamped at zero (a
+    /// pseudo-negative difference may be negative). Empties `acc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no pass was accumulated since the last readout.
+    pub fn read_accumulated(&self, acc: &mut JtcScratch) -> JtcOutput {
+        self.read(acc, false)
+    }
+
+    /// Stage 3 from two lens-1 spectra: the square law of their sum, added
+    /// into or subtracted from `acc` bin by bin.
+    fn add_pass(
+        &self,
+        signal: &Spectrum,
+        kernel: &Spectrum,
+        polarity: Polarity,
+        acc: &mut JtcScratch,
+    ) {
         let geometry = signal.geometry;
         assert_eq!(geometry, kernel.geometry, "spectra of different passes");
         assert!(
             signal.origin == geometry.sep && kernel.origin == 0,
-            "correlate_spectra takes (signal, kernel) spectra"
+            "passes take (signal, kernel) spectra"
         );
-        let _pass = refocus_obs::span("jtc.correlate");
         refocus_obs::counter("jtc.passes", 1);
-        let n = geometry.n;
-        let JtcScratch {
-            field,
-            intensity,
-            plane,
-        } = scratch;
-        {
-            // The Fourier-plane field of the joint input; the upper bins
-            // are the conjugate mirror of the lower ones (real input).
-            let _s = refocus_obs::span("jtc.compose");
-            field.clear();
-            field.extend(signal.bins.iter().zip(&kernel.bins).map(|(s, k)| *s + *k));
-            for k in field.len()..n {
-                field.push(field[n - k].conj());
+        match acc.geometry {
+            Some(held) => assert_eq!(
+                held, geometry,
+                "passes of different geometries share a readout"
+            ),
+            None => {
+                acc.geometry = Some(geometry);
+                acc.sum.clear();
+                acc.sum.resize(signal.bins.len(), 0.0);
             }
         }
-        self.detect(field, geometry, intensity, plane)
+        // The joint field is the sum of the two spectra; its intensity is
+        // real and, like the field, needs only the non-redundant bins.
+        let _s = refocus_obs::span("jtc.square_law");
+        let intensity = signal
+            .bins
+            .iter()
+            .zip(&kernel.bins)
+            .map(|(s, k)| self.nonlinearity.apply_point(*s + *k).re);
+        match polarity {
+            Polarity::Positive => acc.sum.iter_mut().zip(intensity).for_each(|(a, v)| *a += v),
+            Polarity::Negative => acc.sum.iter_mut().zip(intensity).for_each(|(a, v)| *a -= v),
+        }
+    }
+
+    /// Stages 4–5 for the passes in `acc`: mirrors the non-redundant bins
+    /// into the whole (real, even) intensity plane and reads it out.
+    fn read(&self, acc: &mut JtcScratch, single_pass: bool) -> JtcOutput {
+        let geometry = acc
+            .geometry
+            .take()
+            .expect("a readout needs at least one accumulated pass");
+        let n = geometry.n;
+        let JtcScratch {
+            sum,
+            intensity,
+            plane,
+            ..
+        } = acc;
+        intensity.clear();
+        intensity.extend_from_slice(sum);
+        for k in sum.len()..n {
+            intensity.push(intensity[n - k]);
+        }
+        self.read_plane(intensity, geometry, plane, single_pass)
     }
 
     /// Checks the inputs and returns the plane geometry.
@@ -360,37 +470,49 @@ impl Jtc {
         self.plane_geometry(signal.len(), kernel.len())
     }
 
-    /// Stages 3–5 from the Fourier-plane field: square law, lens 2 and the
-    /// photodetector readout of the cross term (through the ADC if any).
-    /// The single tail every pass runs, whichever way its field was built.
-    fn detect(
-        &self,
-        field: &mut [Complex64],
-        geometry: PlaneGeometry,
-        intensity: &mut Vec<f64>,
-        plane: &mut Vec<Complex64>,
-    ) -> JtcOutput {
-        self.lens2(field, intensity, plane);
+    /// Stage 3 on a whole Fourier-plane field: the nonlinearity, in place,
+    /// and its output intensity. The output is an intensity, i.e. real
+    /// (`NonlinearMaterial::apply_point` discards phase), which makes the
+    /// second lens real-input too.
+    fn square_law(&self, field: &mut [Complex64], intensity: &mut Vec<f64>) {
+        let _s = refocus_obs::span("jtc.square_law");
+        self.nonlinearity.apply(field);
+        intensity.clear();
+        intensity.extend(field.iter().map(|v| v.re));
+    }
 
-        // Stage 5: photodetector readout of the cross term at +sep.
-        // For non-negative inputs the term is real and non-negative;
-        // detection reads its magnitude.
+    /// Stages 4–5, the one tail every readout runs: lens 2 on a
+    /// Fourier-plane intensity, then the photodetectors at the cross term
+    /// `+sep`. A single pass is an optical power, so its readout clamps at
+    /// zero and goes through the ADC if any; an accumulated signed sum is
+    /// read as it is. Counts one `jtc.readouts`.
+    fn read_plane(
+        &self,
+        intensity: &[f64],
+        geometry: PlaneGeometry,
+        plane: &mut Vec<Complex64>,
+        single_pass: bool,
+    ) -> JtcOutput {
+        lens2(intensity, plane);
+
         let _s = refocus_obs::span("jtc.readout");
+        refocus_obs::counter("jtc.readouts", 1);
         let PlaneGeometry {
             signal_len: ls,
             kernel_len: lk,
             sep,
             n,
         } = geometry;
-        let full_len = ls + lk - 1;
-        let mut full = Vec::with_capacity(full_len);
-        for lag in -(lk as isize - 1)..=(ls as isize - 1) {
-            let idx = (sep as isize + lag).rem_euclid(n as isize) as usize;
-            full.push(plane[idx].re.max(0.0));
-        }
+        // One pass of non-negative inputs has a real, non-negative cross
+        // term, which detection reads clamped at zero; an accumulated
+        // pseudo-negative sum is signed and read as it is.
+        let detect = |v: f64| if single_pass { v.max(0.0) } else { v };
+        let mut full: Vec<f64> = (-(lk as isize - 1)..=(ls as isize - 1))
+            .map(|lag| detect(plane[(sep as isize + lag).rem_euclid(n as isize) as usize].re))
+            .collect();
 
         // ADC quantization against the observed full-scale.
-        if let Some(adc) = &self.adc {
+        if let (true, Some(adc)) = (single_pass, &self.adc) {
             let fs = full.iter().fold(0.0_f64, |m, &v| m.max(v));
             if fs > 0.0 {
                 for v in full.iter_mut() {
@@ -405,25 +527,6 @@ impl Jtc {
             signal_len: ls,
             plane_size: n,
         }
-    }
-
-    /// Stages 3–4: the Fourier-plane square law on `field`, then the
-    /// second lens into `plane`.
-    fn lens2(&self, field: &mut [Complex64], intensity: &mut Vec<f64>, plane: &mut Vec<Complex64>) {
-        // Stage 3: Fourier-plane square-law nonlinearity. Its output is an
-        // intensity, i.e. real (`NonlinearMaterial::apply_point` discards
-        // phase), which makes the second lens real-input too.
-        {
-            let _s = refocus_obs::span("jtc.square_law");
-            self.nonlinearity.apply(field);
-            intensity.clear();
-            intensity.extend(field.iter().map(|v| v.re));
-        }
-        // Stage 4: second lens. The inverse orientation recovers the
-        // autocorrelation theorem directly: IFFT(|FFT(f)|^2) = autocorr(f).
-        let _s = refocus_obs::span("jtc.lens2.ifft");
-        plane.resize(field.len(), Complex64::ZERO);
-        ifft_real_into(intensity, plane);
     }
 
     /// Performs one optical pass under a device-fault model.
@@ -478,7 +581,8 @@ impl Jtc {
         let PlaneGeometry { sep, n, .. } = self.geometry(signal, kernel)?;
         let mut field = lens1(&compose(signal, kernel, sep, n, |v| v));
         let (mut intensity, mut plane) = (Vec::new(), Vec::new());
-        self.lens2(&mut field, &mut intensity, &mut plane);
+        self.square_law(&mut field, &mut intensity);
+        lens2(&intensity, &mut plane);
         Ok((plane.into_iter().map(|v| v.re.max(0.0)).collect(), sep))
     }
 
@@ -512,6 +616,15 @@ impl Jtc {
 fn lens1(input_plane: &[f64]) -> Vec<Complex64> {
     let _s = refocus_obs::span("jtc.lens1.fft");
     rfft(input_plane)
+}
+
+/// Stage 4: the second lens, from a Fourier-plane intensity into `plane`.
+/// The inverse orientation recovers the autocorrelation theorem
+/// directly: IFFT(|FFT(f)|^2) = autocorr(f).
+fn lens2(intensity: &[f64], plane: &mut Vec<Complex64>) {
+    let _s = refocus_obs::span("jtc.lens2.ifft");
+    plane.resize(intensity.len(), Complex64::ZERO);
+    ifft_real_into(intensity, plane);
 }
 
 /// Stage 1: the joint input plane of `n` samples, kernel at the origin
@@ -556,14 +669,30 @@ pub struct Spectrum {
     origin: usize,
 }
 
-/// Reusable buffers for [`Jtc::correlate_spectra`]: the Fourier-plane
-/// field, its intensity and the output plane, so a run of passes
-/// allocates them once.
+/// The Fourier-plane accumulator of [`Jtc::accumulate`] and
+/// [`Jtc::correlate_spectra`], with the buffers of lens 2, so a run of
+/// readouts allocates them once. Between readouts it holds the signed
+/// intensity sum of the passes accumulated so far.
 #[derive(Debug, Clone, Default)]
 pub struct JtcScratch {
-    field: Vec<Complex64>,
+    /// Geometry of the accumulated passes; `None` when there are none.
+    geometry: Option<PlaneGeometry>,
+    /// Their signed square-law intensities, `n/2 + 1` non-redundant bins.
+    sum: Vec<f64>,
+    /// The whole mirrored intensity plane lens 2 reads.
     intensity: Vec<f64>,
+    /// The output plane.
     plane: Vec<Complex64>,
+}
+
+/// The pseudo-negative half a pass computes: its intensity is added to
+/// ([`Polarity::Positive`]) or subtracted from an accumulated readout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Polarity {
+    /// The non-negative weights' half.
+    Positive,
+    /// The half holding the magnitudes of the negative weights.
+    Negative,
 }
 
 /// The detected output of one JTC pass.
@@ -961,6 +1090,122 @@ mod tests {
         let sig = jtc.signal_spectrum(&pseudo_random(24, 7), 5).unwrap();
         let ker = jtc.kernel_spectrum(&pseudo_random(5, 8), 12).unwrap();
         jtc.correlate_spectra(&sig, &ker, &mut JtcScratch::default());
+    }
+
+    /// `read_accumulated` after accumulating `passes` against the signed
+    /// sum of their `correlate`s, as a share of the sum's peak.
+    fn accumulated_gap(jtc: &Jtc, passes: &[(Vec<f64>, Vec<f64>, Polarity)]) -> f64 {
+        let mut acc = JtcScratch::default();
+        let mut want: Vec<f64> = Vec::new();
+        for (s, k, polarity) in passes {
+            let sig = jtc.signal_spectrum(s, k.len()).unwrap();
+            let ker = jtc.kernel_spectrum(k, s.len()).unwrap();
+            jtc.accumulate(&sig, &ker, *polarity, &mut acc).unwrap();
+            let direct = jtc.correlate(s, k).unwrap();
+            want.resize(direct.full().len(), 0.0);
+            let sign = if *polarity == Polarity::Positive {
+                1.0
+            } else {
+                -1.0
+            };
+            for (w, v) in want.iter_mut().zip(direct.full()) {
+                *w += sign * v;
+            }
+        }
+        let out = jtc.read_accumulated(&mut acc);
+        assert_eq!(out.full().len(), want.len());
+        let peak = want.iter().fold(0.0_f64, |m, &v| m.max(v.abs()));
+        max_abs_diff(out.full(), &want) / peak
+    }
+
+    #[test]
+    fn one_accumulated_pass_reads_out_as_correlate() {
+        let s = pseudo_random(8, 1);
+        let k = pseudo_random(3, 2);
+        for jtc in [
+            Jtc::ideal().with_plane_size(48),
+            Jtc::ideal().with_plane_size(75),
+            Jtc::ideal().with_nonlinearity(NonlinearMaterial::saturating(4)),
+        ] {
+            let sig = jtc.signal_spectrum(&s, k.len()).unwrap();
+            let ker = jtc.kernel_spectrum(&k, s.len()).unwrap();
+            let mut acc = JtcScratch::default();
+            jtc.accumulate(&sig, &ker, Polarity::Positive, &mut acc)
+                .unwrap();
+            let read = jtc.read_accumulated(&mut acc);
+            // A single pass runs the same tail, clamped at zero.
+            let clamped: Vec<f64> = read.full().iter().map(|v| v.max(0.0)).collect();
+            let single = jtc.correlate_spectra(&sig, &ker, &mut acc);
+            assert_eq!(single.full(), clamped.as_slice());
+            let direct = jtc.correlate(&s, &k).unwrap();
+            assert_eq!(read.plane_size(), direct.plane_size());
+            let peak = direct.full().iter().fold(0.0_f64, |m, &v| m.max(v));
+            let gap = max_abs_diff(&clamped, direct.full()) / peak;
+            assert!(gap < 1e-12, "{jtc:?}: gap {gap}");
+        }
+    }
+
+    #[test]
+    fn accumulated_passes_sum_their_correlations() {
+        let jtc = Jtc::ideal();
+        let (s1, s2) = (pseudo_random(24, 3), pseudo_random(24, 4));
+        let (k1, k2) = (pseudo_random(5, 5), pseudo_random(5, 6));
+        let both = [
+            (s1.clone(), k1.clone(), Polarity::Positive),
+            (s2.clone(), k2.clone(), Polarity::Positive),
+        ];
+        let gap = accumulated_gap(&jtc, &both);
+        assert!(gap < 1e-12, "sum: gap {gap}");
+        // A pseudo-negative difference reads out signed, not clamped.
+        let difference = [
+            (s1.clone(), k1.clone(), Polarity::Negative),
+            (s1, k2.clone(), Polarity::Positive),
+        ];
+        let gap = accumulated_gap(&jtc, &difference);
+        assert!(gap < 1e-12, "difference: gap {gap}");
+        let mut acc = JtcScratch::default();
+        let sig = jtc.signal_spectrum(&s2, 5).unwrap();
+        let ker = jtc.kernel_spectrum(&k2, 24).unwrap();
+        jtc.accumulate(&sig, &ker, Polarity::Negative, &mut acc)
+            .unwrap();
+        let out = jtc.read_accumulated(&mut acc);
+        let want: Vec<f64> = correlate_valid(&s2, &k2).iter().map(|v| -v).collect();
+        assert!(max_abs_diff(out.valid(), &want) < 1e-9);
+        assert!(out.valid().iter().all(|&v| v < 0.0));
+    }
+
+    #[test]
+    fn quantized_jtcs_refuse_to_accumulate() {
+        let ideal = Jtc::ideal();
+        let sig = ideal.signal_spectrum(&pseudo_random(8, 1), 3).unwrap();
+        let ker = ideal.kernel_spectrum(&pseudo_random(3, 2), 8).unwrap();
+        for jtc in [
+            Jtc::ideal().with_adc(Some(Adc::new())),
+            Jtc::ideal().with_dac(Some(Dac::new())),
+            Jtc::quantized(),
+        ] {
+            assert!(!jtc.supports_accumulation());
+            let mut acc = JtcScratch::default();
+            assert_eq!(
+                jtc.accumulate(&sig, &ker, Polarity::Positive, &mut acc),
+                Err(JtcError::Quantized)
+            );
+        }
+        assert!(ideal.supports_accumulation());
+        assert!(JtcError::Quantized.to_string().contains("ADC"));
+    }
+
+    #[test]
+    #[should_panic(expected = "passes of different geometries share a readout")]
+    fn one_readout_holds_one_geometry() {
+        let jtc = Jtc::ideal();
+        let mut acc = JtcScratch::default();
+        for (ls, lk) in [(24, 5), (12, 5)] {
+            let sig = jtc.signal_spectrum(&pseudo_random(ls, 7), lk).unwrap();
+            let ker = jtc.kernel_spectrum(&pseudo_random(lk, 8), ls).unwrap();
+            jtc.accumulate(&sig, &ker, Polarity::Positive, &mut acc)
+                .unwrap();
+        }
     }
 
     #[test]

@@ -138,3 +138,26 @@ fn wdm_bus_and_jtc_compose_with_tiling() {
         assert!((a - b).abs() < 1e-8);
     }
 }
+
+/// A full-channel layer, ResNet-18 conv2_x (64→64, 3×3, 56×56, padding 1),
+/// on the ideal optics. Slow in a debug build, so it is ignored by default;
+/// CI runs it with `cargo test --release --test end_to_end -- --ignored`.
+#[test]
+#[ignore = "full-channel layer; run in release with --ignored"]
+fn resnet18_conv2_x_full_channels_on_optics() {
+    let exec = OpticalExecutor::ideal();
+    let x = Tensor3::random(64, 56, 56, 0.0, 1.0, 400);
+    let weights = Tensor4::random(64, 64, 3, 3, -0.1, 0.1, 401);
+    let optical = exec.conv2d(&x, &weights, 1, 1).unwrap();
+    let digital = conv2d(&x, &weights, 1, 1).unwrap();
+    assert_eq!(optical.shape(), digital.shape());
+    let peak = digital.max_abs();
+    let err = optical
+        .data()
+        .iter()
+        .zip(digital.data())
+        .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+    assert!(err <= 1e-12 * peak, "error {err} vs peak {peak}");
+    // 28 four-row passes per (input, output) channel pair and half.
+    assert_eq!(exec.passes(), 229_376);
+}
