@@ -16,7 +16,7 @@ use refocus_nn::tensor::{Tensor3, Tensor4};
 use refocus_nn::tiling::{tiled_passes, TiledPass, TiledPasses, TilingError, TilingMode};
 use refocus_photonics::buffer::FeedbackBuffer;
 use refocus_photonics::faults::FaultInjector;
-use refocus_photonics::jtc::{Jtc, JtcScratch, Polarity, Spectrum};
+use refocus_photonics::jtc::{Jtc, JtcOutput, JtcScratch, Polarity, Spectrum};
 use std::fmt;
 use std::ops::Range;
 
@@ -423,10 +423,21 @@ fn add_row(acc: &mut [f64], values: &[f64]) {
     }
 }
 
+/// A pass's output seen as its valid window, which the pass list folds
+/// straight into the output rows.
+struct ValidWindow(JtcOutput);
+
+impl AsRef<[f64]> for ValidWindow {
+    fn as_ref(&self) -> &[f64] {
+        self.0.valid()
+    }
+}
+
 /// One output channel on the direct route: every pass through
-/// [`Jtc::correlate`] or [`Jtc::correlate_with_faults`], each half summed
-/// over input channels in pass-list order, then recombined digitally as
-/// `positive − negative`. Returns the stride-1 output rows and the passes.
+/// [`Jtc::correlate_in`] (on one reused [`JtcScratch`]) or
+/// [`Jtc::correlate_with_faults`], each half summed over input channels in
+/// pass-list order, then recombined digitally as `positive − negative`.
+/// Returns the stride-1 output rows and the passes.
 fn direct_channel(
     jtc: &Jtc,
     plan: &TiledPasses,
@@ -437,6 +448,7 @@ fn direct_channel(
     let mut passes = 0u64;
     let mut pos = plan.zeros();
     let mut neg = plan.zeros();
+    let mut scratch = JtcScratch::default();
     for (rows, halves) in channel_rows.iter().zip(halves) {
         for (half, acc) in halves.iter().zip([&mut pos, &mut neg]) {
             plan.run(
@@ -446,10 +458,10 @@ fn direct_channel(
                     passes += 1;
                     let out = match faults.as_deref_mut() {
                         Some(fi) => jtc.correlate_with_faults(s, k, fi),
-                        None => jtc.correlate(s, k),
+                        None => jtc.correlate_in(s, k, &mut scratch),
                     }
                     .expect(VALID_OPERANDS);
-                    out.valid().to_vec()
+                    ValidWindow(out)
                 },
                 |r, values| add_row(&mut acc[r], values),
             );

@@ -444,12 +444,14 @@ impl TiledPasses {
 
     /// Runs every pass through `correlate_1d` (see [`tiled_conv2d_with`])
     /// and hands each finished output row to `finish` (see
-    /// [`TiledPasses::fold`]).
-    pub fn run(
+    /// [`TiledPasses::fold`]). A pass's result may be any view of its
+    /// valid correlation, so a caller need not copy it out of a larger
+    /// output.
+    pub fn run<C: AsRef<[f64]>>(
         &self,
         input: &[Vec<f64>],
         kernel: &[Vec<f64>],
-        mut correlate_1d: impl FnMut(&[f64], &[f64]) -> Vec<f64>,
+        mut correlate_1d: impl FnMut(&[f64], &[f64]) -> C,
         mut finish: impl FnMut(usize, &[f64]),
     ) {
         let mut row = Vec::new();
@@ -463,7 +465,7 @@ impl TiledPasses {
             }
             let (_, ker_1d) = tiled_kernel.as_ref().expect("set above");
             let corr = correlate_1d(&self.signal(input, pass), ker_1d);
-            self.fold(pass, &corr, &mut row, &mut finish);
+            self.fold(pass, corr.as_ref(), &mut row, &mut finish);
         }
     }
 }

@@ -27,6 +27,7 @@
 
 use crate::complex::Complex64;
 use std::f64::consts::PI;
+use std::ops::Range;
 
 /// Computes the forward DFT of `x` in place.
 ///
@@ -97,49 +98,15 @@ pub fn rfft(x: &[f64]) -> Vec<Complex64> {
 pub(crate) fn rfft_into(x: &[f64], out: &mut [Complex64]) {
     let n = x.len();
     assert_eq!(out.len(), n, "rfft output length must match the input");
-    if n <= 1 || !n.is_power_of_two() {
+    if !packs(n) {
         for (o, &v) in out.iter_mut().zip(x) {
             *o = Complex64::from_real(v);
         }
         fft(out);
         return;
     }
-    let half = n / 2;
-    // Pack even samples into the real lane, odd samples into the imaginary
-    // lane, and transform the half-length sequence `Z` in the lower half.
-    for (i, z) in out[..half].iter_mut().enumerate() {
-        *z = Complex64::new(x[2 * i], x[2 * i + 1]);
-    }
-    fft(&mut out[..half]);
-    // Unpack: with E/O the half-length DFTs of the even/odd samples,
-    //   E[k] = (Z[k] + conj(Z[-k])) / 2,   O[k] = (Z[k] - conj(Z[-k])) / 2i,
-    //   X[k] = E[k] + W^k O[k],  X[k+N/2] = E[k] - W^k O[k],  W = e^(-2πi/N).
-    // The W^k table for k < N/2 is exactly the full-length plan's last
-    // butterfly stage, so the unpack borrows it from the plan cache
-    // instead of paying N/2 sin/cos evaluations per call. Bins k and
-    // N/2 - k read the same two `Z` samples, so each pair is unpacked
-    // together and overwrites only the slots it has read.
-    with_plan(n, |plan| {
-        let (_, offset) = *plan
-            .stage_offsets
-            .last()
-            .expect("plans always have at least one stage");
-        let w = &plan.twiddles[offset..offset + half];
-        let unpack = |zk: Complex64, zc: Complex64, w: Complex64| {
-            let even = (zk + zc).scale(0.5);
-            let odd = (zk - zc) * Complex64::new(0.0, -0.5);
-            let t = w * odd;
-            (even + t, even - t)
-        };
-        for k in 0..=half / 2 {
-            let j = (half - k) % half;
-            let (zk, zj) = (out[k], out[j]);
-            (out[k], out[k + half]) = unpack(zk, zj.conj(), w[k]);
-            if j != k {
-                (out[j], out[j + half]) = unpack(zj, zk.conj(), w[j]);
-            }
-        }
-    });
+    pack_and_transform(x, out);
+    with_unpack_twiddles(n, |w| unpack_into(out, w, |v| v));
 }
 
 /// Inverse DFT (including the `1/N` scaling) of a **real-valued**
@@ -159,10 +126,144 @@ pub fn ifft_real(x: &[f64]) -> Vec<Complex64> {
 ///
 /// Panics if `out.len() != x.len()`.
 pub(crate) fn ifft_real_into(x: &[f64], out: &mut [Complex64]) {
-    rfft_into(x, out);
-    let inv_n = 1.0 / x.len() as f64;
-    for v in out.iter_mut() {
-        *v = v.conj().scale(inv_n);
+    let n = x.len();
+    assert_eq!(out.len(), n, "ifft_real output length must match the input");
+    let inv_n = 1.0 / n as f64;
+    let finish = |v: Complex64| v.conj().scale(inv_n);
+    if !packs(n) {
+        rfft_into(x, out);
+        for v in out.iter_mut() {
+            *v = finish(*v);
+        }
+        return;
+    }
+    pack_and_transform(x, out);
+    with_unpack_twiddles(n, |w| unpack_into(out, w, finish));
+}
+
+/// The real parts of `ifft_real(x)[window]`, bit for bit, into `out`:
+/// the half-length transform runs whole, but only the window's samples
+/// are unpacked, each with the pair formula [`ifft_real`] uses for it.
+/// This is the JTC's second lens when only the photodetectors' window of
+/// the output plane is read. `buf` is scratch for the transform.
+/// Non-power-of-two lengths run the full [`ifft_real`] and keep the
+/// window.
+///
+/// # Panics
+///
+/// Panics if `window` is not within `0..x.len()`.
+pub(crate) fn ifft_real_window(
+    x: &[f64],
+    window: Range<usize>,
+    out: &mut Vec<f64>,
+    buf: &mut Vec<Complex64>,
+) {
+    let n = x.len();
+    assert!(
+        window.start <= window.end && window.end <= n,
+        "window {window:?} outside a {n}-sample plane"
+    );
+    out.clear();
+    buf.clear();
+    let inv_n = 1.0 / n as f64;
+    let finish = |v: Complex64| v.conj().scale(inv_n).re;
+    if !packs(n) {
+        buf.resize(n, Complex64::ZERO);
+        ifft_real_into(x, buf);
+        out.extend(buf[window].iter().map(|v| v.re));
+        return;
+    }
+    let half = n / 2;
+    buf.resize(half, Complex64::ZERO);
+    pack_and_transform(x, buf);
+    let z = &buf[..];
+    with_unpack_twiddles(n, |w| {
+        // Unpacking bin k gives samples k and k + N/2; its partner bin
+        // is (N/2 - k) mod N/2, as in the full unpack.
+        let bin = |k: usize| unpack(z[k], z[(half - k) & (half - 1)].conj(), w[k]);
+        let below = window.start.min(half)..window.end.min(half);
+        let above = window.start.max(half) - half..window.end.max(half) - half;
+        out.extend(below.map(|k| finish(bin(k).0)));
+        out.extend(above.map(|k| finish(bin(k).1)));
+    });
+}
+
+/// Whether a real transform of length `n` takes the packed half-length
+/// path: the split needs an even length and the plan cache a power of two.
+fn packs(n: usize) -> bool {
+    n >= 2 && n.is_power_of_two()
+}
+
+/// The first half of a power-of-two real FFT: even samples of `x` into
+/// the real lane and odd samples into the imaginary lane of
+/// `out[..N/2]`, transformed there as an `N/2`-point complex sequence `Z`.
+fn pack_and_transform(x: &[f64], out: &mut [Complex64]) {
+    let half = x.len() / 2;
+    for (z, pair) in out[..half].iter_mut().zip(x.chunks_exact(2)) {
+        *z = Complex64::new(pair[0], pair[1]);
+    }
+    fft(&mut out[..half]);
+}
+
+/// Runs `f` with the unpack twiddles `W^k = e^(-2πik/N)`, `k < N/2`, of a
+/// power-of-two real FFT of length `n`. They are exactly the length-`n`
+/// plan's last butterfly stage, so the unpack borrows them from the plan
+/// cache instead of paying N/2 sin/cos evaluations per call.
+fn with_unpack_twiddles<R>(n: usize, f: impl FnOnce(&[Complex64]) -> R) -> R {
+    with_plan(n, |plan| {
+        let (_, offset) = *plan
+            .stage_offsets
+            .last()
+            .expect("plans always have at least one stage");
+        f(&plan.twiddles[offset..offset + n / 2])
+    })
+}
+
+/// Unpacks bins `k` and `k + N/2` of a real FFT from the half-length
+/// transform: with E/O the half-length DFTs of the even/odd samples,
+///   E[k] = (Z[k] + conj(Z[-k])) / 2,   O[k] = (Z[k] - conj(Z[-k])) / 2i,
+///   X[k] = E[k] + W^k O[k],  X[k+N/2] = E[k] - W^k O[k],  W = e^(-2πi/N),
+/// given `zk = Z[k]`, `zc = conj(Z[-k])` and `w = W^k`.
+#[inline]
+fn unpack(zk: Complex64, zc: Complex64, w: Complex64) -> (Complex64, Complex64) {
+    let even = (zk + zc).scale(0.5);
+    let odd = (zk - zc) * Complex64::new(0.0, -0.5);
+    let t = w * odd;
+    (even + t, even - t)
+}
+
+/// The whole unpack, in place: `out[..N/2]` holds `Z`, and every bin `X[m]`
+/// is written as `finish(X[m])`. Bins k and N/2 - k read the same two `Z`
+/// samples, so each pair is unpacked together and overwrites only the
+/// slots it has read; k = 0 and k = N/4 are their own partners.
+fn unpack_into(out: &mut [Complex64], w: &[Complex64], finish: impl Fn(Complex64) -> Complex64) {
+    let half = out.len() / 2;
+    let (lo, hi) = out.split_at_mut(half);
+    let mut own_partner = |k: usize| {
+        let z = lo[k];
+        let (a, b) = unpack(z, z.conj(), w[k]);
+        (lo[k], hi[k]) = (finish(a), finish(b));
+    };
+    own_partner(0);
+    if half == 1 {
+        return;
+    }
+    let mid = half / 2;
+    own_partner(mid);
+    // Pairs (k, N/2 - k) for 0 < k < N/4: the first of each from the
+    // front of [1, N/4), the second from the back of (N/4, N/2).
+    let (lo_k, lo_j) = lo[1..].split_at_mut(mid - 1);
+    let (hi_k, hi_j) = hi[1..].split_at_mut(mid - 1);
+    let (w_k, w_j) = (&w[1..mid], &w[mid + 1..half]);
+    let lows = lo_k.iter_mut().zip(lo_j[1..].iter_mut().rev());
+    let highs = hi_k.iter_mut().zip(hi_j[1..].iter_mut().rev());
+    let twiddles = w_k.iter().zip(w_j.iter().rev());
+    for (((zk, zj), (xk, xj)), (&wk, &wj)) in lows.zip(highs).zip(twiddles) {
+        let (a, b) = (*zk, *zj);
+        let (k_lo, k_hi) = unpack(a, b.conj(), wk);
+        let (j_lo, j_hi) = unpack(b, a.conj(), wj);
+        (*zk, *xk) = (finish(k_lo), finish(k_hi));
+        (*zj, *xj) = (finish(j_lo), finish(j_hi));
     }
 }
 
@@ -426,15 +527,41 @@ impl FftPlan {
         for &(i, j) in &self.swaps {
             x.swap(i as usize, j as usize);
         }
+        // Every butterfly is `v = hi·w; (lo, hi) = (lo + v, lo - v)` on
+        // the same operands as the textbook indexed loop, so the output is
+        // bit-identical to it; the slice loops only let the compiler drop
+        // bounds checks. The products by w = (1, -0) stay: skipping them
+        // can flip the sign of a zero.
         for &(len, offset) in &self.stage_offsets {
             let half = len / 2;
-            for start in (0..self.n).step_by(len) {
-                for k in 0..half {
-                    let w = twiddles[offset + k];
-                    let u = x[start + k];
-                    let v = x[start + k + half] * w;
-                    x[start + k] = u + v;
-                    x[start + k + half] = u - v;
+            let twiddles = &twiddles[offset..offset + half];
+            match *twiddles {
+                [w] => {
+                    for pair in x.chunks_exact_mut(2) {
+                        let (u, v) = (pair[0], pair[1] * w);
+                        pair[0] = u + v;
+                        pair[1] = u - v;
+                    }
+                }
+                [w0, w1] => {
+                    for quad in x.chunks_exact_mut(4) {
+                        let (u0, v0) = (quad[0], quad[2] * w0);
+                        let (u1, v1) = (quad[1], quad[3] * w1);
+                        quad[0] = u0 + v0;
+                        quad[2] = u0 - v0;
+                        quad[1] = u1 + v1;
+                        quad[3] = u1 - v1;
+                    }
+                }
+                _ => {
+                    for block in x.chunks_exact_mut(len) {
+                        let (lo, hi) = block.split_at_mut(half);
+                        for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(twiddles) {
+                            let (u, v) = (*a, *b * w);
+                            *a = u + v;
+                            *b = u - v;
+                        }
+                    }
                 }
             }
         }
@@ -489,16 +616,111 @@ mod tests {
         }
     }
 
-    /// Naive O(N^2) DFT as ground truth.
+    /// Naive O(N^2) DFT as ground truth. The phase index `k·j` is reduced
+    /// mod N before the angle is formed, so the twiddles stay accurate at
+    /// the largest sizes.
     fn dft_naive(x: &[Complex64]) -> Vec<Complex64> {
         let n = x.len();
         (0..n)
             .map(|k| {
                 (0..n)
-                    .map(|j| x[j] * Complex64::cis(-2.0 * PI * (k * j) as f64 / n as f64))
+                    .map(|j| x[j] * Complex64::cis(-2.0 * PI * ((k * j) % n) as f64 / n as f64))
                     .sum()
             })
             .collect()
+    }
+
+    /// The textbook indexed radix-2 loop on the plan's own tables: the
+    /// reference the slice kernels must match bit for bit.
+    fn reference_run(plan: &FftPlan, x: &mut [Complex64], twiddles: &[Complex64]) {
+        for &(i, j) in &plan.swaps {
+            x.swap(i as usize, j as usize);
+        }
+        for &(len, offset) in &plan.stage_offsets {
+            let half = len / 2;
+            for start in (0..plan.n).step_by(len) {
+                for k in 0..half {
+                    let w = twiddles[offset + k];
+                    let u = x[start + k];
+                    let v = x[start + k + half] * w;
+                    x[start + k] = u + v;
+                    x[start + k + half] = u - v;
+                }
+            }
+        }
+    }
+
+    /// The indexed reference for [`rfft`] at a power-of-two length:
+    /// pack, the reference half-length transform, then the pair-by-pair
+    /// indexed unpack.
+    fn reference_rfft(x: &[f64]) -> Vec<Complex64> {
+        let n = x.len();
+        let half = n / 2;
+        let mut out: Vec<Complex64> = (0..half)
+            .map(|i| Complex64::new(x[2 * i], x[2 * i + 1]))
+            .collect();
+        if half > 1 {
+            let plan = FftPlan::new(half);
+            reference_run(&plan, &mut out, &plan.twiddles);
+        }
+        out.resize(n, Complex64::ZERO);
+        let plan = FftPlan::new(n);
+        let (_, offset) = *plan.stage_offsets.last().unwrap();
+        let w = &plan.twiddles[offset..offset + half];
+        let unpack = |zk: Complex64, zc: Complex64, w: Complex64| {
+            let even = (zk + zc).scale(0.5);
+            let odd = (zk - zc) * Complex64::new(0.0, -0.5);
+            let t = w * odd;
+            (even + t, even - t)
+        };
+        for k in 0..=half / 2 {
+            let j = (half - k) % half;
+            let (zk, zj) = (out[k], out[j]);
+            (out[k], out[k + half]) = unpack(zk, zj.conj(), w[k]);
+            if j != k {
+                (out[j], out[j + half]) = unpack(zj, zk.conj(), w[j]);
+            }
+        }
+        out
+    }
+
+    /// Seeded reals that include exact zeros, `-0.0`, subnormals of both
+    /// signs and large magnitudes (small enough that no sum overflows).
+    fn awkward_reals(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                let sign = if state & 1 == 0 { 1.0 } else { -1.0 };
+                match (state >> 60) % 6 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => sign * f64::MIN_POSITIVE * u,
+                    3 => sign * 1e250 * u,
+                    _ => sign * u,
+                }
+            })
+            .collect()
+    }
+
+    /// Seeded `±0.0`: every output of a transform is then a signed zero,
+    /// whose sign shows any skipped or reordered operation.
+    fn signed_zeros(n: usize, seed: u64) -> Vec<f64> {
+        awkward_reals(n, seed)
+            .into_iter()
+            .map(|v| if v.to_bits() & 8 == 0 { 0.0 } else { -0.0 })
+            .collect()
+    }
+
+    fn bits(x: &[Complex64]) -> Vec<(u64, u64)> {
+        x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+    }
+
+    fn real_bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
     }
 
     fn ramp(n: usize) -> Vec<Complex64> {
@@ -624,13 +846,128 @@ mod tests {
 
     #[test]
     fn plan_matches_direct_fft_all_sizes() {
-        for n in [2usize, 4, 8, 32, 128, 512] {
+        for n in (1..=12).map(|p| 1usize << p) {
             let plan = FftPlan::new(n);
             let x = ramp(n);
             let mut planned = x.clone();
             plan.forward(&mut planned);
-            let direct = fft_of(&x);
+            let direct = dft_naive(&x);
             assert_close(&planned, &direct, 1e-8 * n as f64);
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_indexed_reference_bit_for_bit() {
+        let sizes = (1..=12).map(|p| 1usize << p);
+        let inputs = sizes.flat_map(|n| {
+            let seed = n as u64;
+            [
+                (awkward_reals(n, seed), awkward_reals(n, 7 * seed + 1)),
+                (signed_zeros(n, seed), signed_zeros(n, 7 * seed + 1)),
+            ]
+        });
+        for (re, im) in inputs {
+            let n = re.len();
+            let plan = FftPlan::new(n);
+            let x: Vec<Complex64> = re
+                .iter()
+                .zip(&im)
+                .map(|(&a, &b)| Complex64::new(a, b))
+                .collect();
+
+            let (mut got, mut want) = (x.clone(), x.clone());
+            plan.forward(&mut got);
+            reference_run(&plan, &mut want, &plan.twiddles);
+            assert_eq!(bits(&got), bits(&want), "forward, n={n}");
+
+            let (mut got, mut want) = (x.clone(), x.clone());
+            plan.inverse_unscaled(&mut got);
+            reference_run(&plan, &mut want, &plan.inv_twiddles);
+            assert_eq!(bits(&got), bits(&want), "inverse_unscaled, n={n}");
+
+            let mut got = x.clone();
+            plan.inverse(&mut got);
+            let inv_n = 1.0 / n as f64;
+            let want: Vec<Complex64> = want.iter().map(|v| v.scale(inv_n)).collect();
+            assert_eq!(bits(&got), bits(&want), "inverse, n={n}");
+
+            let want = reference_rfft(&re);
+            assert_eq!(bits(&rfft(&re)), bits(&want), "rfft, n={n}");
+            let want: Vec<Complex64> = want.iter().map(|v| v.conj().scale(inv_n)).collect();
+            assert_eq!(bits(&ifft_real(&re)), bits(&want), "ifft_real, n={n}");
+        }
+    }
+
+    /// `ifft_real_window` over `window` against the real parts of the full
+    /// `ifft_real`, bit for bit.
+    fn assert_window_is_the_full_plane(x: &[f64], window: Range<usize>) {
+        let full: Vec<f64> = ifft_real(x)[window.clone()].iter().map(|v| v.re).collect();
+        let (mut out, mut buf) = (vec![1.0; 3], Vec::new());
+        ifft_real_window(x, window.clone(), &mut out, &mut buf);
+        assert_eq!(
+            real_bits(&out),
+            real_bits(&full),
+            "n={} window {window:?}",
+            x.len()
+        );
+    }
+
+    #[test]
+    fn windowed_inverse_is_the_full_plane_bit_for_bit() {
+        // The readout window of every pass geometry of the 20 distinct
+        // conv shapes of AlexNet, VGG-16 and ResNet-18/34/50, tiled
+        // exactly on a 256-waveguide JTC: (signal, kernel) lengths.
+        let passes = [
+            (238, 11),
+            (245, 145),
+            (255, 37),
+            (228, 3),
+            (232, 119),
+            (116, 3),
+            (240, 123),
+            (256, 67),
+            (192, 67),
+            (252, 39),
+            (72, 39),
+            (236, 7),
+            (224, 1),
+            (252, 1),
+            (28, 1),
+            (99, 25),
+            (196, 1),
+            (49, 1),
+        ];
+        let jtc = crate::jtc::Jtc::ideal();
+        for (i, (ls, lk)) in passes.into_iter().enumerate() {
+            let g = jtc.plane_geometry(ls, lk).unwrap();
+            for x in [awkward_reals(g.n, i as u64), signed_zeros(g.n, i as u64)] {
+                assert_window_is_the_full_plane(&x, g.sep + 1 - lk..g.sep + ls);
+            }
+        }
+        // Windows below, across and above n/2, whole planes and empty ones.
+        let sizes = (1..=12).map(|p| 1usize << p);
+        let planes =
+            sizes.flat_map(|n| [awkward_reals(n, 99 + n as u64), signed_zeros(n, n as u64)]);
+        for x in planes {
+            let n = x.len();
+            let (half, quarter) = (n / 2, n / 4);
+            for window in [
+                0..n,
+                0..half,
+                half..n,
+                quarter..n - quarter,
+                half - 1..half + 1,
+                n - 1..n,
+                half..half,
+            ] {
+                assert_window_is_the_full_plane(&x, window);
+            }
+        }
+        // Planes that are not a power of two take the full transform.
+        for n in [1usize, 3, 48, 75, 100] {
+            let x = awkward_reals(n, n as u64);
+            assert_window_is_the_full_plane(&x, 0..n);
+            assert_window_is_the_full_plane(&x, n / 3..n - n / 3);
         }
     }
 

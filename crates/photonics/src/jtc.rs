@@ -50,9 +50,10 @@
 
 use crate::complex::Complex64;
 use crate::components::{Adc, Dac, NonlinearMaterial};
-use crate::fft::{ifft, ifft_real_into, rfft};
+use crate::fft::{ifft, ifft_real_into, ifft_real_window, rfft_into};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// Errors produced when a JTC pass cannot be computed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,9 +187,33 @@ impl Jtc {
     /// Returns [`JtcError`] if an input is empty or negative, or if a fixed
     /// plane size cannot hold the inputs with adequate term separation.
     pub fn correlate(&self, signal: &[f64], kernel: &[f64]) -> Result<JtcOutput, JtcError> {
+        self.correlate_in(signal, kernel, &mut JtcScratch::default())
+    }
+
+    /// [`Jtc::correlate`] with the pass's plane buffers taken from
+    /// `scratch`, so a run of passes allocates them once. Bit-identical
+    /// to [`Jtc::correlate`]; passes accumulated in `scratch` are left
+    /// as they are.
+    ///
+    /// # Errors
+    ///
+    /// As [`Jtc::correlate`].
+    pub fn correlate_in(
+        &self,
+        signal: &[f64],
+        kernel: &[f64],
+        scratch: &mut JtcScratch,
+    ) -> Result<JtcOutput, JtcError> {
         let _pass = refocus_obs::span("jtc.correlate");
         refocus_obs::counter("jtc.passes", 1);
         let geometry = self.geometry(signal, kernel)?;
+        let JtcScratch {
+            input,
+            field,
+            intensity,
+            plane,
+            ..
+        } = scratch;
 
         // Stage 1: compose the joint input plane, quantizing through the DAC
         // if configured. DACs encode normalized values; normalize by the
@@ -198,19 +223,23 @@ impl Jtc {
             .chain(kernel.iter())
             .fold(0.0_f64, |m, &v| m.max(v));
         let scale = if peak > 0.0 { peak } else { 1.0 };
-        let input_plane = {
+        {
             let _s = refocus_obs::span("jtc.compose");
-            compose(signal, kernel, geometry.sep, geometry.n, |v| {
-                match &self.dac {
+            compose(
+                signal,
+                kernel,
+                geometry.sep,
+                geometry.n,
+                input,
+                |v| match &self.dac {
                     Some(dac) => dac.quantize(v / scale) * scale,
                     None => v,
-                }
-            })
-        };
-        let mut field = lens1(&input_plane);
-        let (mut intensity, mut plane) = (Vec::new(), Vec::new());
-        self.square_law(&mut field, &mut intensity);
-        Ok(self.read_plane(&intensity, geometry, &mut plane, true))
+                },
+            );
+        }
+        lens1_into(input, field);
+        self.square_law(field, intensity);
+        Ok(self.read_plane(intensity, geometry, plane, true))
     }
 
     /// Whether passes may start from separately built spectra
@@ -470,22 +499,22 @@ impl Jtc {
         self.plane_geometry(signal.len(), kernel.len())
     }
 
-    /// Stage 3 on a whole Fourier-plane field: the nonlinearity, in place,
-    /// and its output intensity. The output is an intensity, i.e. real
+    /// Stage 3 on a whole Fourier-plane field: the nonlinearity's output
+    /// intensity, in one pass over the field. The output is real
     /// (`NonlinearMaterial::apply_point` discards phase), which makes the
     /// second lens real-input too.
-    fn square_law(&self, field: &mut [Complex64], intensity: &mut Vec<f64>) {
+    fn square_law(&self, field: &[Complex64], intensity: &mut Vec<f64>) {
         let _s = refocus_obs::span("jtc.square_law");
-        self.nonlinearity.apply(field);
         intensity.clear();
-        intensity.extend(field.iter().map(|v| v.re));
+        intensity.extend(field.iter().map(|&v| self.nonlinearity.apply_point(v).re));
     }
 
     /// Stages 4–5, the one tail every readout runs: lens 2 on a
-    /// Fourier-plane intensity, then the photodetectors at the cross term
-    /// `+sep`. A single pass is an optical power, so its readout clamps at
-    /// zero and goes through the ADC if any; an accumulated signed sum is
-    /// read as it is. Counts one `jtc.readouts`.
+    /// Fourier-plane intensity, computing only the photodetectors' window
+    /// of the output plane (the cross term at `+sep`), then the readout of
+    /// that window. A single pass is an optical power, so its readout
+    /// clamps at zero and goes through the ADC if any; an accumulated
+    /// signed sum is read as it is. Counts one `jtc.readouts`.
     fn read_plane(
         &self,
         intensity: &[f64],
@@ -493,23 +522,27 @@ impl Jtc {
         plane: &mut Vec<Complex64>,
         single_pass: bool,
     ) -> JtcOutput {
-        lens2(intensity, plane);
-
-        let _s = refocus_obs::span("jtc.readout");
-        refocus_obs::counter("jtc.readouts", 1);
         let PlaneGeometry {
             signal_len: ls,
             kernel_len: lk,
             sep,
             n,
         } = geometry;
+        // The cross term's lags `-(lk-1) ..= ls-1` around `sep` never wrap:
+        // the geometry keeps `sep > lk - 1` and `sep + ls <= n`.
+        let mut full = Vec::with_capacity(ls + lk - 1);
+        lens2_window(intensity, sep + 1 - lk..sep + ls, &mut full, plane);
+
+        let _s = refocus_obs::span("jtc.readout");
+        refocus_obs::counter("jtc.readouts", 1);
         // One pass of non-negative inputs has a real, non-negative cross
         // term, which detection reads clamped at zero; an accumulated
         // pseudo-negative sum is signed and read as it is.
-        let detect = |v: f64| if single_pass { v.max(0.0) } else { v };
-        let mut full: Vec<f64> = (-(lk as isize - 1)..=(ls as isize - 1))
-            .map(|lag| detect(plane[(sep as isize + lag).rem_euclid(n as isize) as usize].re))
-            .collect();
+        if single_pass {
+            for v in full.iter_mut() {
+                *v = v.max(0.0);
+            }
+        }
 
         // ADC quantization against the observed full-scale.
         if let (true, Some(adc)) = (single_pass, &self.adc) {
@@ -579,9 +612,11 @@ impl Jtc {
         kernel: &[f64],
     ) -> Result<(Vec<f64>, usize), JtcError> {
         let PlaneGeometry { sep, n, .. } = self.geometry(signal, kernel)?;
-        let mut field = lens1(&compose(signal, kernel, sep, n, |v| v));
+        let mut input_plane = Vec::new();
+        compose(signal, kernel, sep, n, &mut input_plane, |v| v);
+        let field = lens1(&input_plane);
         let (mut intensity, mut plane) = (Vec::new(), Vec::new());
-        self.square_law(&mut field, &mut intensity);
+        self.square_law(&field, &mut intensity);
         lens2(&intensity, &mut plane);
         Ok((plane.into_iter().map(|v| v.re.max(0.0)).collect(), sep))
     }
@@ -602,7 +637,9 @@ impl Jtc {
         kernel: &[f64],
     ) -> Result<Vec<f64>, JtcError> {
         let PlaneGeometry { sep, n, .. } = self.geometry(signal, kernel)?;
-        let mut plane = lens1(&compose(signal, kernel, sep, n, |v| v));
+        let mut input_plane = Vec::new();
+        compose(signal, kernel, sep, n, &mut input_plane, |v| v);
+        let mut plane = lens1(&input_plane);
         ifft(&mut plane);
         Ok(plane[sep..sep + signal.len()]
             .iter()
@@ -614,8 +651,16 @@ impl Jtc {
 /// Stage 2: the first lens. The input plane carries optical power — a
 /// real field — so the half-length real-input transform applies.
 fn lens1(input_plane: &[f64]) -> Vec<Complex64> {
+    let mut field = Vec::new();
+    lens1_into(input_plane, &mut field);
+    field
+}
+
+/// [`lens1`] into a reused buffer.
+fn lens1_into(input_plane: &[f64], field: &mut Vec<Complex64>) {
     let _s = refocus_obs::span("jtc.lens1.fft");
-    rfft(input_plane)
+    field.resize(input_plane.len(), Complex64::ZERO);
+    rfft_into(input_plane, field);
 }
 
 /// Stage 4: the second lens, from a Fourier-plane intensity into `plane`.
@@ -627,23 +672,39 @@ fn lens2(intensity: &[f64], plane: &mut Vec<Complex64>) {
     ifft_real_into(intensity, plane);
 }
 
-/// Stage 1: the joint input plane of `n` samples, kernel at the origin
-/// and signal at `sep`, each value passed through `encode`.
+/// Stage 4 where only the photodetectors' `window` of the output plane is
+/// read: the real parts of [`lens2`]'s plane over `window`, bit for bit,
+/// into `out`, without unpacking the rest (`buf` is the transform's
+/// scratch).
+fn lens2_window(
+    intensity: &[f64],
+    window: Range<usize>,
+    out: &mut Vec<f64>,
+    buf: &mut Vec<Complex64>,
+) {
+    let _s = refocus_obs::span("jtc.lens2.ifft");
+    ifft_real_window(intensity, window, out, buf);
+}
+
+/// Stage 1: the joint input plane of `n` samples into `input_plane`,
+/// kernel at the origin and signal at `sep`, each value passed through
+/// `encode`.
 fn compose(
     signal: &[f64],
     kernel: &[f64],
     sep: usize,
     n: usize,
+    input_plane: &mut Vec<f64>,
     encode: impl Fn(f64) -> f64,
-) -> Vec<f64> {
-    let mut input_plane = vec![0.0_f64; n];
-    for (i, &v) in kernel.iter().enumerate() {
-        input_plane[i] = encode(v);
+) {
+    input_plane.clear();
+    input_plane.resize(n, 0.0);
+    for (p, &v) in input_plane.iter_mut().zip(kernel) {
+        *p = encode(v);
     }
-    for (i, &v) in signal.iter().enumerate() {
-        input_plane[sep + i] = encode(v);
+    for (p, &v) in input_plane[sep..].iter_mut().zip(signal) {
+        *p = encode(v);
     }
-    input_plane
 }
 
 /// Where a pass's operands sit on the JTC plane.
@@ -670,18 +731,23 @@ pub struct Spectrum {
 }
 
 /// The Fourier-plane accumulator of [`Jtc::accumulate`] and
-/// [`Jtc::correlate_spectra`], with the buffers of lens 2, so a run of
-/// readouts allocates them once. Between readouts it holds the signed
-/// intensity sum of the passes accumulated so far.
+/// [`Jtc::correlate_spectra`], with the plane buffers of a pass and of
+/// lens 2, so a run of passes ([`Jtc::correlate_in`]) or readouts
+/// allocates them once. Between readouts it holds the signed intensity
+/// sum of the passes accumulated so far.
 #[derive(Debug, Clone, Default)]
 pub struct JtcScratch {
     /// Geometry of the accumulated passes; `None` when there are none.
     geometry: Option<PlaneGeometry>,
     /// Their signed square-law intensities, `n/2 + 1` non-redundant bins.
     sum: Vec<f64>,
-    /// The whole mirrored intensity plane lens 2 reads.
+    /// A direct pass's joint input plane ([`Jtc::correlate_in`]).
+    input: Vec<f64>,
+    /// Its Fourier-plane field after lens 1.
+    field: Vec<Complex64>,
+    /// The whole intensity plane lens 2 reads.
     intensity: Vec<f64>,
-    /// The output plane.
+    /// Lens 2's transform buffer.
     plane: Vec<Complex64>,
 }
 
@@ -1205,6 +1271,130 @@ mod tests {
             let ker = jtc.kernel_spectrum(&pseudo_random(lk, 8), ls).unwrap();
             jtc.accumulate(&sig, &ker, Polarity::Positive, &mut acc)
                 .unwrap();
+        }
+    }
+
+    /// The readout off the whole output plane: lens 2 on every sample,
+    /// then the cross-term lags picked by circular index, clamped and
+    /// quantized for a single pass.
+    fn full_plane_readout(
+        jtc: &Jtc,
+        intensity: &[f64],
+        geometry: PlaneGeometry,
+        single_pass: bool,
+    ) -> Vec<f64> {
+        let PlaneGeometry {
+            signal_len: ls,
+            kernel_len: lk,
+            sep,
+            n,
+        } = geometry;
+        let mut plane = Vec::new();
+        lens2(intensity, &mut plane);
+        let detect = |v: f64| if single_pass { v.max(0.0) } else { v };
+        let mut full: Vec<f64> = (-(lk as isize - 1)..=(ls as isize - 1))
+            .map(|lag| detect(plane[(sep as isize + lag).rem_euclid(n as isize) as usize].re))
+            .collect();
+        if let (true, Some(adc)) = (single_pass, &jtc.adc) {
+            let fs = full.iter().fold(0.0_f64, |m, &v| m.max(v));
+            if fs > 0.0 {
+                for v in full.iter_mut() {
+                    *v = adc.reconstruct(adc.sample(*v, fs), fs);
+                }
+            }
+        }
+        full
+    }
+
+    /// `correlate` from fresh buffers, with the nonlinearity applied in
+    /// place and the full-plane readout.
+    fn full_plane_correlate(jtc: &Jtc, s: &[f64], k: &[f64]) -> Vec<f64> {
+        let geometry = jtc.geometry(s, k).unwrap();
+        let peak = s.iter().chain(k).fold(0.0_f64, |m, &v| m.max(v));
+        let scale = if peak > 0.0 { peak } else { 1.0 };
+        let mut input_plane = Vec::new();
+        compose(
+            s,
+            k,
+            geometry.sep,
+            geometry.n,
+            &mut input_plane,
+            |v| match &jtc.dac {
+                Some(dac) => dac.quantize(v / scale) * scale,
+                None => v,
+            },
+        );
+        let mut field = lens1(&input_plane);
+        jtc.nonlinearity.apply(&mut field);
+        let intensity: Vec<f64> = field.iter().map(|v| v.re).collect();
+        full_plane_readout(jtc, &intensity, geometry, true)
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn windowed_readouts_are_the_full_plane_bit_for_bit() {
+        let jtcs = [
+            Jtc::ideal(),
+            Jtc::quantized(),
+            Jtc::ideal().with_adc(Some(Adc::new())),
+            Jtc::ideal().with_nonlinearity(NonlinearMaterial::saturating(4)),
+        ];
+        // Perfbench pass lengths (1024-, 2048-, 512- and 128-sample
+        // planes), a kernel longer than its signal, and fixed planes that
+        // are not a power of two.
+        let lengths = [(228, 3), (240, 123), (72, 39), (28, 1), (3, 8), (8, 3)];
+        let mut scratch = JtcScratch::default();
+        for jtc in &jtcs {
+            for (seed, &(ls, lk)) in lengths.iter().enumerate() {
+                let s = pseudo_random(ls, seed as u64);
+                let k = pseudo_random(lk, seed as u64 + 50);
+                let want = bits(&full_plane_correlate(jtc, &s, &k));
+                assert_eq!(bits(jtc.correlate(&s, &k).unwrap().full()), want);
+                let reused = jtc.correlate_in(&s, &k, &mut scratch).unwrap();
+                assert_eq!(bits(reused.full()), want, "{jtc:?} ({ls}, {lk})");
+            }
+        }
+        for size in [48, 75] {
+            let jtc = Jtc::quantized().with_plane_size(size);
+            let (s, k) = (pseudo_random(8, 1), pseudo_random(3, 2));
+            let want = bits(&full_plane_correlate(&jtc, &s, &k));
+            assert_eq!(bits(jtc.correlate(&s, &k).unwrap().full()), want);
+        }
+    }
+
+    #[test]
+    fn windowed_accumulated_readouts_are_the_full_plane_bit_for_bit() {
+        for (jtc, ls, lk) in [
+            (Jtc::ideal(), 240, 123),
+            (Jtc::ideal(), 28, 1),
+            (Jtc::ideal().with_plane_size(48), 8, 3),
+            (Jtc::ideal().with_plane_size(75), 8, 3),
+            (
+                Jtc::ideal().with_nonlinearity(NonlinearMaterial::saturating(4)),
+                72,
+                39,
+            ),
+        ] {
+            let mut acc = JtcScratch::default();
+            for (seed, polarity) in [(1, Polarity::Positive), (2, Polarity::Negative)] {
+                let sig = jtc.signal_spectrum(&pseudo_random(ls, seed), lk).unwrap();
+                let ker = jtc
+                    .kernel_spectrum(&pseudo_random(lk, seed + 9), ls)
+                    .unwrap();
+                jtc.accumulate(&sig, &ker, polarity, &mut acc).unwrap();
+            }
+            let geometry = acc.geometry.unwrap();
+            let n = geometry.n;
+            let mut intensity = acc.sum.clone();
+            for k in acc.sum.len()..n {
+                intensity.push(intensity[n - k]);
+            }
+            let want = full_plane_readout(&jtc, &intensity, geometry, false);
+            let got = jtc.read_accumulated(&mut acc);
+            assert_eq!(bits(got.full()), bits(&want), "{jtc:?} ({ls}, {lk})");
         }
     }
 
